@@ -17,6 +17,10 @@ class HypothesisError(ValueError):
     """Formula hypotheses violated (ambient dimension below 4)."""
 
 
+class AuditError(RuntimeError):
+    """An internal invariant of a computation does not hold."""
+
+
 class VertexFileError(ValueError):
     """Malformed vertex matrix text. Carries a 1-based line number."""
 

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import add
 
-from .errors import HypothesisError
-from .linalg import integer_determinant, rational_rank
+from .errors import AuditError, HypothesisError
+from .linalg import rank_mod_p, rational_rank
 from .polytope import ReflexivePair, Vector
 
 COEFF_LOW = 1
 COEFF_HIGH = 10**6
 MAX_DRAWS = 5
+RANK_PRIME = 2**61 - 1
 
 
 def monomial_basis(pair: ReflexivePair) -> tuple[Vector, ...]:
@@ -58,8 +60,7 @@ def euler_rows(pair: ReflexivePair, coeffs, rays=None) -> list[list[int]]:
     """
     if rays is None:
         rays = lifted_ray_subset(pair)
-    basis = monomial_basis(pair)
-    return [[coeffs[m] * (_dot(m, v) + 1) for m in basis] for v in rays]
+    return _rows(pair, coeffs, rays, ())
 
 
 def facet_interior_pairs(pair: ReflexivePair) -> tuple[tuple[Vector, Vector], ...]:
@@ -81,19 +82,7 @@ def facet_interior_rows(pair: ReflexivePair, coeffs) -> list[list[int]]:
     """One row per (ray v_i, interior point m* of the dual facet): entry at
     column m is lambda_{m-m*} * (<m-m*, v_i> + 1) when m-m* lies in delta,
     zero otherwise."""
-    basis = monomial_basis(pair)
-    in_delta = set(basis)
-    rows = []
-    for ray, star in facet_interior_pairs(pair):
-        row = []
-        for m in basis:
-            shifted = tuple(a - b for a, b in zip(m, star))
-            if shifted in in_delta:
-                row.append(coeffs[shifted] * (_dot(shifted, ray) + 1))
-            else:
-                row.append(0)
-        rows.append(row)
-    return rows
+    return _rows(pair, coeffs, (), facet_interior_pairs(pair))
 
 
 def gamma(pair: ReflexivePair) -> int:
@@ -101,8 +90,33 @@ def gamma(pair: ReflexivePair) -> int:
     return pair.n + 1 + len(facet_interior_pairs(pair))
 
 
-def assemble_matrix(pair: ReflexivePair, coeffs) -> list[list[int]]:
-    return euler_rows(pair, coeffs) + facet_interior_rows(pair, coeffs)
+def assemble_matrix(pair: ReflexivePair, coeffs, rays=None, pairs=None) -> list[list[int]]:
+    """Euler rows, then facet interior rows. A caller that builds several
+    matrices for one pair passes the rays and pairs it computed once."""
+    if rays is None:
+        rays = lifted_ray_subset(pair)
+    if pairs is None:
+        pairs = facet_interior_pairs(pair)
+    return _rows(pair, coeffs, rays, pairs)
+
+
+def _rows(pair: ReflexivePair, coeffs, rays, pairs) -> list[list[int]]:
+    """Euler rows for rays, then facet interior rows for pairs. Each ray's
+    column values lambda_m * (<m, v> + 1) are computed once; a facet row
+    places them at the columns m + m* that lie in delta."""
+    basis = monomial_basis(pair)
+    column = {m: j for j, m in enumerate(basis)}
+    needed = dict.fromkeys([*rays, *(ray for ray, _ in pairs)])
+    values = {v: [coeffs[m] * (_dot(m, v) + 1) for m in basis] for v in needed}
+    rows = [list(values[ray]) for ray in rays]
+    for ray, star in pairs:
+        row = [0] * len(basis)
+        for m, value in zip(basis, values[ray]):
+            j = column.get(tuple(map(add, m, star)))
+            if j is not None:
+                row[j] = value
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -133,7 +147,9 @@ def jacobian_rank_check(pair: ReflexivePair, seed: int = 0, force: bool = False)
         raise HypothesisError(
             "ambient dimension below 4; pass force to compute anyway"
         )
-    g = gamma(pair)
+    rays = lifted_ray_subset(pair)
+    pairs = facet_interior_pairs(pair)
+    g = pair.n + 1 + len(pairs)
     l_delta = len(monomial_basis(pair))
     formula = hn21_untwisted(pair, force)
     rank = -1
@@ -143,8 +159,11 @@ def jacobian_rank_check(pair: ReflexivePair, seed: int = 0, force: bool = False)
         seed_used = seed + offset
         attempts = offset + 1
         coeffs = draw_coefficients(pair, seed_used)
-        rank = rational_rank(assemble_matrix(pair, coeffs))
-        assert rank <= g, "rank above row count is impossible"
+        m = assemble_matrix(pair, coeffs, rays, pairs)
+        if len(m) != g:
+            raise AuditError(f"rank matrix has {len(m)} rows, gamma is {g}")
+        # rank_p <= rank_Q <= g, so rank_p == g certifies the exact rank
+        rank = g if rank_mod_p(m, RANK_PRIME) == g else rational_rank(m)
         if rank == g:
             break
     generic = rank == g
@@ -161,46 +180,6 @@ def jacobian_rank_check(pair: ReflexivePair, seed: int = 0, force: bool = False)
         agrees=generic and quotient == formula,
         generic=generic,
     )
-
-
-def independent_vertex_subset(pair: ReflexivePair) -> tuple[Vector, ...]:
-    """Lexicographically first n linearly independent vertices of delta,
-    then the origin."""
-    chosen: list[Vector] = []
-    for v in pair.delta.vertices:
-        if rational_rank([list(w) for w in chosen + [v]]) == len(chosen) + 1:
-            chosen.append(v)
-            if len(chosen) == pair.n:
-                break
-    assert len(chosen) == pair.n, "delta vertices failed to span"
-    return tuple(chosen) + ((0,) * pair.n,)
-
-
-def matrix_e(pair: ReflexivePair, monomials=None, rays=None) -> list[list[int]]:
-    """The (n+1) x (n+1) pairing matrix with entries <m_i, v_j> + 1."""
-    if monomials is None:
-        monomials = independent_vertex_subset(pair)
-    if rays is None:
-        rays = lifted_ray_subset(pair)
-    return [[_dot(m, v) + 1 for v in rays] for m in monomials]
-
-
-def verify_matrix_p_nonsingular(pair: ReflexivePair, coeffs=None) -> bool:
-    """Witness that the chosen Euler rows are independent: the pairing
-    matrix on n independent vertices plus the origin has nonzero
-    determinant, and scaling its rows by the (nonzero) coefficients
-    multiplies the determinant by exactly their product."""
-    monomials = independent_vertex_subset(pair)
-    e = matrix_e(pair, monomials)
-    det_e = integer_determinant(e)
-    assert det_e != 0, "pairing matrix unexpectedly singular"
-    if coeffs is not None:
-        p = [[coeffs[m] * entry for entry in row] for m, row in zip(monomials, e)]
-        scale = 1
-        for m in monomials:
-            scale *= coeffs[m]
-        assert integer_determinant(p) == scale * det_e
-    return True
 
 
 def _dot(a, b) -> int:

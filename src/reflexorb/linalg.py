@@ -263,6 +263,31 @@ def rational_rank(m) -> int:
     return rank
 
 
+def rank_mod_p(m, p: int) -> int:
+    """Rank over GF(p), p prime, of an integer matrix. Never above the rank
+    over Q, so reaching the row count certifies full row rank."""
+    a = [[x % p for x in row] for row in m]
+    rows = len(a)
+    if rows == 0:
+        return 0
+    rank = 0
+    for col in range(len(a[0])):
+        piv = next((i for i in range(rank, rows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        top = [x * inv % p for x in a[rank][col:]]
+        for i in range(rank + 1, rows):
+            f = a[i][col]
+            if f:
+                a[i][col:] = [(x - f * y) % p for x, y in zip(a[i][col:], top)]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
 def rational_kernel_basis(m) -> list[tuple[Fraction, ...]]:
     """Basis of {x : m x = 0} over the rationals (column kernel)."""
     rows = len(m)

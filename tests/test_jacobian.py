@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from reflexorb.errors import HypothesisError
+from reflexorb import jacobian
+from reflexorb.cli import main
+from reflexorb.errors import AuditError, HypothesisError
 from reflexorb.jacobian import (
     assemble_matrix,
     draw_coefficients,
@@ -10,15 +13,13 @@ from reflexorb.jacobian import (
     facet_interior_pairs,
     facet_interior_rows,
     gamma,
-    independent_vertex_subset,
     jacobian_rank_check,
     lifted_ray_subset,
-    matrix_e,
     monomial_basis,
-    verify_matrix_p_nonsingular,
 )
 from reflexorb.linalg import integer_determinant, rational_kernel_basis, rational_rank
 
+from pairing import independent_vertex_subset, matrix_e, verify_matrix_p_nonsingular
 from test_hodge import (
     FIVEDIM_POLAR,
     OCTIC_POLAR,
@@ -201,3 +202,50 @@ def test_coefficients_deterministic(simplex_pair):
     assert a == b
     assert a != c
     assert all(1 <= v <= 10**6 for v in a.values())
+
+
+def test_bareiss_fallback_gives_identical_report(cube_pair, monkeypatch):
+    certified = [jacobian_rank_check(cube_pair, seed=s) for s in (0, 1)]
+    exact_calls = []
+
+    def counting_rank(m):
+        exact_calls.append(len(m))
+        return rational_rank(m)
+
+    monkeypatch.setattr(jacobian, "rank_mod_p", lambda m, p: len(m) - 1)
+    monkeypatch.setattr(jacobian, "rational_rank", counting_rank)
+    fallback = [jacobian_rank_check(cube_pair, seed=s) for s in (0, 1)]
+    assert fallback == certified
+    assert exact_calls.count(13) == 2  # one exact rank per report
+
+
+def test_certified_rank_skips_bareiss(cube_pair, monkeypatch):
+    exact_calls = []
+
+    def counting_rank(m):
+        exact_calls.append(len(m))
+        return rational_rank(m)
+
+    monkeypatch.setattr(jacobian, "rational_rank", counting_rank)
+    rep = jacobian_rank_check(cube_pair, seed=0)
+    assert rep.rank == 13 and rep.generic
+    assert 13 not in exact_calls  # only the small lifted-ray checks ran
+
+
+def test_row_count_audit_survives_optimisation(cube_pair, monkeypatch):
+    monkeypatch.setattr(
+        jacobian, "assemble_matrix", lambda pair, coeffs, rays, pairs: [[1]]
+    )
+    with pytest.raises(AuditError, match="1 rows, gamma is 13"):
+        jacobian_rank_check(cube_pair, seed=0)
+
+
+def test_oracle_jacobian_p1_1_12_28_42(capsys):
+    code = main(["oracle-jacobian", "--wps", "1,1,12,28,42"])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert obj["rank"] == obj["gamma"] == 189
+    assert obj["l_delta"] == 680
+    assert obj["quotient"] == obj["formula"] == 491
+    assert obj["agrees"] is True and obj["generic"] is True
+    assert obj["attempts"] == 1

@@ -8,6 +8,7 @@ from reflexorb.linalg import (
     identity_matrix,
     integer_determinant,
     matrix_multiply,
+    rank_mod_p,
     rational_kernel_basis,
     rational_rank,
     smith_normal_form,
@@ -146,6 +147,49 @@ def test_rank_accepts_fractions():
     m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 2)]]
     assert rational_rank(m) == 2
     assert rational_rank([[Fraction(1, 2), Fraction(1, 4)], [Fraction(2), Fraction(1)]]) == 1
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+def low_rank_matrix(rng, rows, cols, rank, lo=-9, hi=9):
+    left = random_matrix(rng, rows, rank, lo, hi)
+    right = random_matrix(rng, rank, cols, lo, hi)
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def test_rank_mod_p_matches_rational_rank():
+    rng = random.Random(61)
+    shapes = [(3, 12), (12, 3), (7, 7), (1, 5), (5, 1), (20, 40)]
+    for rows, cols in shapes:
+        m = random_matrix(rng, rows, cols)
+        assert rank_mod_p(m, MERSENNE_61) == rational_rank(m) == min(rows, cols)
+    for rows, cols, rank in [(6, 9, 4), (9, 6, 2), (8, 8, 5), (10, 30, 7), (5, 5, 0)]:
+        m = low_rank_matrix(rng, rows, cols, rank)
+        assert rank_mod_p(m, MERSENNE_61) == rational_rank(m) == rank, (rows, cols, rank)
+
+
+def test_rank_mod_p_large_entries():
+    rng = random.Random(62)
+    for rows, cols, rank in [(4, 6, 4), (6, 4, 4), (7, 9, 3)]:
+        m = low_rank_matrix(rng, rows, cols, rank, -(2**70), 2**70)
+        assert any(abs(x) > 2**61 for row in m for x in row)
+        assert rank_mod_p(m, MERSENNE_61) == rational_rank(m) == rank
+    assert rank_mod_p([[MERSENNE_61 + 1, 2**62], [1, 4]], MERSENNE_61) == 2
+
+
+def test_rank_mod_p_zero_and_empty():
+    assert rank_mod_p([], MERSENNE_61) == 0
+    assert rank_mod_p([[0, 0], [0, 0]], MERSENNE_61) == 0
+    assert rank_mod_p(identity_matrix(4), MERSENNE_61) == 4
+
+
+def test_rank_mod_p_can_fall_below_rational_rank():
+    # the lower bound is one-sided: a small prime can kill a pivot
+    for p in (2, 3, 7):
+        m = [[p, 0], [0, 1]]
+        assert rank_mod_p(m, p) == 1 < rational_rank(m) == 2
+    assert rank_mod_p([[1, 2], [3, 1]], 5) == 1 < rational_rank([[1, 2], [3, 1]])
 
 
 def test_determinant_fixed():
