@@ -123,6 +123,14 @@ def _pair_from(poly: LatticePolytope, dual: bool) -> ReflexivePair:
     return ReflexivePair.from_polar(poly)
 
 
+def _ray_count(poly: LatticePolytope, dual: bool) -> int | None:
+    """r: the fan-side polytope's vertex count, which for a dual-side input
+    is its facet count. None when the input is not reflexive."""
+    if not poly.is_reflexive():
+        return None
+    return len(poly.facets) if dual else len(poly.vertices)
+
+
 def _input_hash(poly: LatticePolytope) -> str:
     return hashlib.sha256(format_vertex_matrix(poly.vertices).encode()).hexdigest()
 
@@ -177,30 +185,29 @@ def _cmd_info(args):
         "face_counts": counts,
         "vertices_delta": len(pair.delta.vertices),
     }
-    return payload, poly, pair, EXIT_OK
+    return payload, poly, EXIT_OK
 
 
 def _cmd_reflexive(args):
     poly = _load_polytope(args)
     if not poly.is_reflexive():
-        return {"reflexive": False}, poly, None, EXIT_NOT_REFLEXIVE
-    pair = _pair_from(poly, args.dual)
-    return {"reflexive": True}, poly, pair, EXIT_OK
+        return {"reflexive": False}, poly, EXIT_NOT_REFLEXIVE
+    _pair_from(poly, args.dual)  # checks that polar duality closes
+    return {"reflexive": True}, poly, EXIT_OK
 
 
 def _cmd_dual(args):
     poly = _load_polytope(args)
-    pair = _pair_from(poly, args.dual)
+    _pair_from(poly, args.dual)  # checks that polar duality closes
     dual = poly.polar_dual()
     payload = {"vertices": [list(v) for v in dual.vertices]}
     if args.format == "tsv":
-        return format_vertex_matrix(dual.vertices), poly, pair, EXIT_OK
-    return payload, poly, pair, EXIT_OK
+        return format_vertex_matrix(dual.vertices), poly, EXIT_OK
+    return payload, poly, EXIT_OK
 
 
 def _cmd_faces(args):
     poly = _load_polytope(args)
-    pair = _pair_from(poly, args.dual)
     faces = []
     counts = []
     for d in range(poly.n):
@@ -215,39 +222,32 @@ def _cmd_faces(args):
                     "n_interior": len(f.interior_lattice_points()),
                 }
             )
-    return {"counts": counts, "faces": faces}, poly, pair, EXIT_OK
+    return {"counts": counts, "faces": faces}, poly, EXIT_OK
 
 
 def _cmd_points(args):
     poly = _load_polytope(args)
-    pair = _pair_from(poly, args.dual)
     k = args.dilate
     if k < 1:
         raise CliError("--dilate must be a positive integer", EXIT_PARSE)
-    pts = poly.lattice_points(k)
     if args.interior_only:
-        pts = tuple(
-            p
-            for p in pts
-            if all(
-                sum(a * b for a, b in zip(p, f.normal)) + k * f.offset > 0
-                for f in poly.facets
-            )
-        )
+        pts = poly.interior_lattice_points(k)
+    else:
+        pts = poly.lattice_points(k)
     payload = {
         "dilate": k,
         "interior_only": bool(args.interior_only),
         "count": len(pts),
         "points": [list(p) for p in pts],
     }
-    return payload, poly, pair, EXIT_OK
+    return payload, poly, EXIT_OK
 
 
 def _cmd_sectors_toric(args):
     poly = _load_polytope(args)
     pair = _pair_from(poly, args.dual)
     sectors = toric_twisted_sectors(normal_fan(pair))
-    return {"sectors": [_toric_sector_obj(s) for s in sectors]}, poly, pair, EXIT_OK
+    return {"sectors": [_toric_sector_obj(s) for s in sectors]}, poly, EXIT_OK
 
 
 def _cmd_sectors_cy(args):
@@ -257,7 +257,6 @@ def _cmd_sectors_cy(args):
     return (
         {"sectors": [_cy_sector_obj(pair, s) for s in sectors]},
         poly,
-        pair,
         EXIT_OK,
     )
 
@@ -279,7 +278,7 @@ def _cmd_hodge(args):
         "diamond": [list(row) for row in rep.diamond] if rep.diamond else None,
         "forced": rep.forced,
     }
-    return payload, poly, pair, EXIT_OK
+    return payload, poly, EXIT_OK
 
 
 def _cmd_mirror(args):
@@ -293,7 +292,7 @@ def _cmd_mirror(args):
         "swapped": list(rep.swapped) if rep.swapped else None,
         "match": rep.match,
     }
-    return payload, poly, pair, EXIT_OK
+    return payload, poly, EXIT_OK
 
 
 def _cmd_oracle_jacobian(args):
@@ -312,16 +311,16 @@ def _cmd_oracle_jacobian(args):
         "agrees": rep.agrees,
         "generic": rep.generic,
     }
-    return payload, poly, pair, EXIT_OK
+    return payload, poly, EXIT_OK
 
 
 def _cmd_wps(args):
     poly = wps_polytope(list(args.weights))
-    pair = ReflexivePair.from_polar(poly)
+    ReflexivePair.from_polar(poly)  # checks that polar duality closes
     if args.format == "tsv" or args.format == "vertices":
-        return format_vertex_matrix(poly.vertices), poly, pair, EXIT_OK
+        return format_vertex_matrix(poly.vertices), poly, EXIT_OK
     payload = {"vertices": [list(v) for v in poly.vertices]}
-    return payload, poly, pair, EXIT_OK
+    return payload, poly, EXIT_OK
 
 
 _COMMANDS = {
@@ -342,12 +341,12 @@ _COMMANDS = {
 # -- output rendering --------------------------------------------------------------
 
 
-def _render_json(payload, poly, pair) -> str:
+def _render_json(payload, poly, r) -> str:
     obj = {
         "tool_version": __version__,
         "input_hash": _input_hash(poly),
         "n": poly.n,
-        "r": len(pair.delta_polar.vertices) if pair is not None else None,
+        "r": r,
     }
     obj.update(payload)
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -363,12 +362,12 @@ def _tsv_scalar(value) -> str:
     return str(value)
 
 
-def _render_tsv(payload, poly, pair) -> str:
+def _render_tsv(payload, poly, r) -> str:
     rows = {
         "tool_version": __version__,
         "input_hash": _input_hash(poly),
         "n": poly.n,
-        "r": len(pair.delta_polar.vertices) if pair is not None else None,
+        "r": r,
     }
     rows.update(payload)
     table_key = None
@@ -453,15 +452,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload, poly, pair, code = _COMMANDS[args.command](args)
+        payload, poly, code = _COMMANDS[args.command](args)
         if isinstance(payload, str):  # preformatted vertex matrix text
             sys.stdout.write(payload)
             return code
-        fmt = getattr(args, "format", "json")
-        if fmt == "tsv":
-            sys.stdout.write(_render_tsv(payload, poly, pair))
+        r = _ray_count(poly, getattr(args, "dual", False))
+        if args.format == "tsv":
+            sys.stdout.write(_render_tsv(payload, poly, r))
         else:
-            sys.stdout.write(_render_json(payload, poly, pair))
+            sys.stdout.write(_render_json(payload, poly, r))
         return code
     except CliError as exc:
         print(f"reflexorb: {exc}", file=sys.stderr)

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 
-from .errors import NotFullDimensionalError, NotReflexiveError, VertexFileError
+from .errors import AuditError, NotFullDimensionalError, NotReflexiveError, VertexFileError
 from .linalg import rational_kernel_basis, rational_rank
 
 Vector = tuple[int, ...]
@@ -65,11 +64,21 @@ class Face:
     def vertices(self) -> tuple[Vector, ...]:
         return tuple(self._polytope.vertices[i] for i in self.vertex_ids)
 
+    def _mask(self) -> int:
+        return sum(1 << i for i in self.active_facets)
+
     def lattice_points(self) -> tuple[Vector, ...]:
-        return self._polytope._face_points(self)[0]
+        """Lattice points on every facet through the face, in lexicographic
+        order."""
+        want = self._mask()
+        groups = self._polytope._incidence()
+        return tuple(
+            sorted(p for mask, pts in groups.items() if mask & want == want for p in pts)
+        )
 
     def interior_lattice_points(self) -> tuple[Vector, ...]:
-        return self._polytope._face_points(self)[1]
+        """Lattice points on exactly the facets through the face."""
+        return self._polytope._incidence().get(self._mask(), ())
 
 
 class LatticePolytope:
@@ -80,8 +89,8 @@ class LatticePolytope:
         self.facets: tuple[FacetInequality, ...] = tuple(facets)
         self.n: int = len(self.vertices[0]) if self.vertices else 0
         self._faces_by_dim: dict[int, tuple[Face, ...]] | None = None
-        self._points_cache: dict[int, tuple[Vector, ...]] = {}
-        self._face_points_cache: dict[tuple[int, ...], tuple[tuple[Vector, ...], tuple[Vector, ...]]] = {}
+        # k -> (points of the k-fold dilate, the same points by facet mask)
+        self._points_cache: dict[int, tuple[tuple[Vector, ...], dict[int, tuple[Vector, ...]]]] = {}
 
     @classmethod
     def from_vertices(cls, points) -> "LatticePolytope":
@@ -117,35 +126,24 @@ class LatticePolytope:
 
     # -- membership and points ------------------------------------------------
 
-    def contains(self, point, k: int = 1) -> bool:
-        """Membership in the k-fold dilate."""
-        return all(
-            sum(a * b for a, b in zip(point, f.normal)) >= -k * f.offset
-            for f in self.facets
-        )
-
     def lattice_points(self, k: int = 1) -> tuple[Vector, ...]:
         """All lattice points of the k-fold dilate, in lexicographic order."""
         if k < 1:
             raise ValueError("dilate factor must be >= 1")
         if k not in self._points_cache:
-            lo = [min(v[i] for v in self.vertices) * k for i in range(self.n)]
-            hi = [max(v[i] for v in self.vertices) * k for i in range(self.n)]
-            pts = tuple(
-                p
-                for p in product(*(range(lo[i], hi[i] + 1) for i in range(self.n)))
-                if self.contains(p, k)
-            )
-            self._points_cache[k] = pts
-        return self._points_cache[k]
+            self._points_cache[k] = _enumerate_points(self.vertices, self.facets, k)
+        return self._points_cache[k][0]
 
-    def interior_lattice_points(self) -> tuple[Vector, ...]:
-        """Lattice points saturating no facet inequality."""
-        return tuple(
-            p
-            for p in self.lattice_points()
-            if all(f.value(p) > 0 for f in self.facets)
-        )
+    def interior_lattice_points(self, k: int = 1) -> tuple[Vector, ...]:
+        """Lattice points of the k-fold dilate saturating no facet inequality."""
+        return self._incidence(k).get(0, ())
+
+    def _incidence(self, k: int = 1) -> dict[int, tuple[Vector, ...]]:
+        """The lattice points of the k-fold dilate grouped by the bitmask of
+        the facets they lie on (bit i for facet i), each group in
+        lexicographic order."""
+        self.lattice_points(k)
+        return self._points_cache[k][1]
 
     # -- reflexivity and duality ----------------------------------------------
 
@@ -222,22 +220,156 @@ class LatticePolytope:
             for d, faces in sorted(by_dim.items())
         }
 
-    def _face_points(self, face: Face):
-        key = face.vertex_ids
-        if key not in self._face_points_cache:
-            want = frozenset(face.active_facets)
-            members = []
-            interior = []
-            for p in self.lattice_points():
-                active = frozenset(
-                    i for i, f in enumerate(self.facets) if f.value(p) == 0
+
+# -- lattice point enumeration ------------------------------------------------------
+
+
+def _reduced_basis(vertices, n):
+    """Integer matrices (u, vt) whose product u vt^T is the identity.
+
+    The rows of u are the standard basis of Z^n after LLL reduction
+    (delta = 3/4, exact Fractions) under the form G = sum of v v^T over the
+    vertices, positive definite for a full-dimensional polytope. A row
+    short under G is a direction in which the vertices spread little, so in
+    the coordinates y = u x the polytope's bounding box is tight whatever
+    basis the vertices came in; x = sum of y_i vt[i] maps a point back. A
+    wrong basis would silently drop points, so the result passes
+    `_audit_inverse`.
+    """
+    g = [[sum(v[i] * v[j] for v in vertices) for j in range(n)] for i in range(n)]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    vt = [row[:] for row in u]
+
+    # Gram-Schmidt data under G: norm[i] = |u*_i|^2, mu[i][j] = <u_i, u*_j> / norm[j]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norm = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i + 1):
+            m = Fraction(g[i][j]) - sum(mu[j][l] * mu[i][l] * norm[l] for l in range(j))
+            if j < i:
+                mu[i][j] = m / norm[j]
+            else:
+                norm[i] = m
+    i = 1
+    while i < n:
+        for j in range(i - 1, -1, -1):
+            q = round(mu[i][j])
+            if q:
+                u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+                vt[j] = [a + q * b for a, b in zip(vt[j], vt[i])]
+                for l in range(j):
+                    mu[i][l] -= q * mu[j][l]
+                mu[i][j] -= q
+        m = mu[i][i - 1]
+        if norm[i] >= (Fraction(3, 4) - m * m) * norm[i - 1]:
+            i += 1
+            continue
+        # swap rows i-1 and i and update the Gram-Schmidt data in place
+        # (Cohen, A Course in Computational Algebraic Number Theory, 2.6.3)
+        u[i - 1], u[i] = u[i], u[i - 1]
+        vt[i - 1], vt[i] = vt[i], vt[i - 1]
+        mu[i - 1][: i - 1], mu[i][: i - 1] = mu[i][: i - 1], mu[i - 1][: i - 1]
+        b = norm[i] + m * m * norm[i - 1]
+        mu[i][i - 1] = m * norm[i - 1] / b
+        norm[i] = norm[i - 1] * norm[i] / b
+        norm[i - 1] = b
+        for r in range(i + 1, n):
+            t = mu[r][i]
+            mu[r][i] = mu[r][i - 1] - m * t
+            mu[r][i - 1] = t + mu[i][i - 1] * mu[r][i]
+        i = max(i - 1, 1)
+    _audit_inverse(u, vt)
+    return u, vt
+
+
+def _audit_inverse(u, vt):
+    """Raise AuditError unless u vt^T is the identity, so that u is
+    unimodular with inverse vt^T and y = u x is a bijection of Z^n."""
+    n = len(u)
+    for a in range(n):
+        for b in range(n):
+            if sum(x * y for x, y in zip(u[a], vt[b])) != (a == b):
+                raise AuditError("reduced basis is not unimodular: u vt^T is not the identity")
+
+
+def _enumerate_points(vertices, facets, k):
+    """(points, groups) for the k-fold dilate of conv(vertices).
+
+    Points are enumerated in the coordinates y = u x of `_reduced_basis`,
+    one coordinate at a time over the y-box of the dilate. With the
+    coordinates before d fixed, facet j holds when s_j + b_j y_d + (the
+    part of the coordinates after d) >= 0, s_j being its value over the
+    fixed prefix. Bounding that last part by its maximum over the y-box
+    turns each facet into a bound on y_d, so every prefix gets an interval
+    for its next coordinate; a facet that no choice of the remaining
+    coordinates can meet empties it and prunes the prefix. On the last
+    coordinate nothing remains, so its interval holds exactly the points.
+    The cost follows the points and the live prefixes, not the volume of
+    the input's bounding box.
+
+    groups maps the bitmask of the facets a point lies on (bit j for facet
+    j) to those points. points and every group are in lexicographic order.
+    """
+    n = len(vertices[0])
+    u, vt = _reduced_basis(vertices, n)
+    ys = [[sum(a * b for a, b in zip(row, v)) for row in u] for v in vertices]
+    lo = [k * min(y[d] for y in ys) for d in range(n)]
+    hi = [k * max(y[d] for y in ys) for d in range(n)]
+    # cols[d][j]: facet j's normal in y coordinates, entry d
+    cols = [[sum(a * b for a, b in zip(vt[d], f.normal)) for f in facets] for d in range(n)]
+    # later[d][j]: the most coordinates d.. can add to facet j over the y-box
+    later = [[0] * len(facets)]
+    for d in range(n - 1, -1, -1):
+        later.append([s + max(b * lo[d], b * hi[d]) for s, b in zip(later[-1], cols[d])])
+    later.reverse()
+    bits = [1 << j for j in range(len(facets))]
+    last = n - 1
+    points: list[Vector] = []
+    groups: dict[int, list[Vector]] = {}
+
+    def walk(d, vals, x):
+        first, stop = lo[d], hi[d]
+        col = cols[d]
+        for s, r, b in zip(vals, later[d + 1], col):
+            c = s + r
+            if b > 0:
+                t = -(c // b)
+                if t > first:
+                    first = t
+            elif b < 0:
+                t = c // -b
+                if t < stop:
+                    stop = t
+            elif c < 0:
+                return
+        step = vt[d]
+        if d < last:
+            for y in range(first, stop + 1):
+                walk(
+                    d + 1,
+                    [s + b * y for s, b in zip(vals, col)],
+                    [a + y * e for a, e in zip(x, step)],
                 )
-                if want <= active:
-                    members.append(p)
-                    if want == active:
-                        interior.append(p)
-            self._face_points_cache[key] = (tuple(members), tuple(interior))
-        return self._face_points_cache[key]
+            return
+        # facet j is tight at the one y solving s_j + b_j y = 0, or at
+        # every y when b_j = 0 = s_j
+        common = 0
+        tight: dict[int, int] = {}
+        for bit, s, b in zip(bits, vals, col):
+            if b == 0:
+                if s == 0:
+                    common |= bit
+            elif s % b == 0:
+                y = -s // b
+                tight[y] = tight.get(y, 0) | bit
+        for y in range(first, stop + 1):
+            p = tuple([a + y * e for a, e in zip(x, step)])
+            points.append(p)
+            groups.setdefault(common | tight.get(y, 0), []).append(p)
+
+    walk(0, [k * f.offset for f in facets], [0] * n)
+    points.sort()
+    return tuple(points), {mask: tuple(sorted(pts)) for mask, pts in groups.items()}
 
 
 def _hyperplane_through(pts, n):

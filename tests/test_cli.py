@@ -223,6 +223,35 @@ def test_reflexive_command(tmp_path, simplex_file, capsys):
     assert obj["reflexive"] is False and obj["r"] is None
 
 
+def test_points_and_faces_accept_non_reflexive_input(tmp_path, capsys):
+    # neither command needs the dual, so r is null and the exit code 0
+    doubled = [tuple(2 * x for x in v) for v in SIMPLEX_POLAR]
+    bad_file = write_poly(tmp_path, "doubled.txt", doubled)
+    code, out, _ = run_cli(["points", bad_file], capsys)
+    obj = json.loads(out)
+    assert code == 0 and obj["r"] is None
+    assert obj["count"] == len(LatticePolytope.from_vertices(doubled).lattice_points())
+    code, out, _ = run_cli(["faces", bad_file, "--format", "tsv"], capsys)
+    assert code == 0 and "r\tnull" in out.splitlines()
+    code, _, _ = run_cli(["points", bad_file, "--dual"], capsys)
+    assert code == 0
+
+
+def test_ray_count_without_the_pair(tmp_path, simplex_file, capsys):
+    # r is the fan-side vertex count: the input's own, or under --dual the
+    # vertex count of its polar, which hodge computes from the pair
+    cube_file = write_poly(tmp_path, "cube.txt", CUBE4)
+    for args in ([simplex_file], [simplex_file, "--dual"], [cube_file, "--dual"]):
+        rs = set()
+        for cmd in ("points", "faces", "info"):
+            code, out, _ = run_cli([cmd] + args, capsys)
+            assert code == 0
+            rs.add(json.loads(out)["r"])
+        assert len(rs) == 1
+    code, out, _ = run_cli(["points", cube_file, "--dual"], capsys)
+    assert json.loads(out)["r"] == len(CROSS4)
+
+
 def test_faces_counts(simplex_file, capsys):
     code, out, _ = run_cli(["faces", simplex_file], capsys)
     obj = json.loads(out)

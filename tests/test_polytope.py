@@ -4,10 +4,18 @@ from itertools import product
 import pytest
 
 import oracles
-from reflexorb.errors import NotFullDimensionalError, NotReflexiveError, VertexFileError
+from reflexorb.errors import (
+    AuditError,
+    NotFullDimensionalError,
+    NotReflexiveError,
+    VertexFileError,
+)
+from reflexorb.hodge import hodge_report
 from reflexorb.polytope import (
     LatticePolytope,
     ReflexivePair,
+    _audit_inverse,
+    _reduced_basis,
     format_vertex_matrix,
     parse_vertex_matrix,
 )
@@ -278,3 +286,119 @@ def test_pair_role_swap(simplex_pair):
     sw = simplex_pair.swapped()
     assert sw.delta_polar == simplex_pair.delta
     assert sw.delta == simplex_pair.delta_polar
+
+
+# -- enumeration in a reduced basis ---------------------------------------------
+
+
+def _unimodular(rng, n, steps=8, size=3):
+    """A random integer matrix of determinant +-1 as a product of
+    elementary row operations, with a random row permutation."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-1, 1)) * rng.randint(1, size)
+        m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+    rng.shuffle(m)
+    return m
+
+
+def _apply(m, p):
+    return tuple(sum(a * b for a, b in zip(row, p)) for row in m)
+
+
+def _low_dim_bases(n):
+    cube = list(product((-1, 1), repeat=n))
+    cross = [tuple(s if i == j else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
+    simplex = [tuple(-1 for _ in range(n))] + [
+        tuple(int(i == j) for j in range(n)) for i in range(n)
+    ]
+    dual = list(LatticePolytope.from_vertices(simplex).polar_dual().vertices)
+    return [cube, cross, simplex, dual]
+
+
+def _facet_values(poly, p, k=1):
+    return [sum(a * b for a, b in zip(p, f.normal)) + k * f.offset for f in poly.facets]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_points_invariant_under_unimodular_images(n):
+    rng = random.Random(100 + n)
+    bases = [SIMPLEX_POLAR, SIMPLEX_DELTA, CUBE4, CROSS4] if n == 4 else _low_dim_bases(n)
+    for verts in bases:
+        base = LatticePolytope.from_vertices(verts)
+        for t in range(3):
+            # one mild transform, which the Caratheodory scan below can afford
+            m = _unimodular(rng, n, steps=3, size=1) if t == 0 else _unimodular(rng, n)
+            image = LatticePolytope.from_vertices([_apply(m, v) for v in verts])
+            for k in (1, 2, 3):
+                pts = image.lattice_points(k)
+                assert all(a < b for a, b in zip(pts, pts[1:]))
+                assert set(pts) == {_apply(m, p) for p in base.lattice_points(k)}
+            # the scan tries every (n+1)-subset of the vertices at each box
+            # point: dilates in the plane, k = 1 in space, and not the 3-cube
+            if t == 0 and n < 4 and len(verts) <= 2 * n:
+                for k in (1, 2, 3) if n == 2 else (1,):
+                    dilated = [tuple(k * x for x in v) for v in image.vertices]
+                    assert set(image.lattice_points(k)) == set(
+                        oracles.hull_lattice_points(dilated)
+                    )
+
+
+def test_dilate_points_match_a_facet_filter_of_the_box():
+    for verts in [SIMPLEX_POLAR, SIMPLEX_DELTA, CUBE4, CROSS4]:
+        p = LatticePolytope.from_vertices(verts)
+        for k in (1, 2):
+            box = product(
+                *(range(k * min(c), k * max(c) + 1) for c in zip(*p.vertices))
+            )
+            inside = [q for q in box if min(_facet_values(p, q, k)) >= 0]
+            assert p.lattice_points(k) == tuple(inside)
+            interior = tuple(q for q in inside if min(_facet_values(p, q, k)) > 0)
+            assert p.interior_lattice_points(k) == interior
+
+
+def test_face_points_match_a_facet_incidence_filter():
+    rng = random.Random(7)
+    sheared = [_apply(_unimodular(rng, 4), v) for v in SIMPLEX_DELTA]
+    for verts in [SIMPLEX_POLAR, SIMPLEX_DELTA, CUBE4, CROSS4, sheared]:
+        p = LatticePolytope.from_vertices(verts)
+        tight = {
+            q: {i for i, v in enumerate(_facet_values(p, q)) if v == 0}
+            for q in p.lattice_points()
+        }
+        faces = p.proper_faces() + list(p.faces(p.n))
+        for f in faces:
+            want = set(f.active_facets)
+            assert f.lattice_points() == tuple(q for q in sorted(tight) if want <= tight[q])
+            assert f.interior_lattice_points() == tuple(
+                q for q in sorted(tight) if want == tight[q]
+            )
+
+
+def test_reduced_basis_is_unimodular_and_audited():
+    rng = random.Random(3)
+    verts = [_apply(_unimodular(rng, 4, steps=12, size=6), v) for v in SIMPLEX_DELTA]
+    u, vt = _reduced_basis(verts, 4)
+    product_rows = [[sum(a * b for a, b in zip(row, col)) for col in vt] for row in u]
+    assert product_rows == [[int(i == j) for j in range(4)] for i in range(4)]
+    with pytest.raises(AuditError):
+        _audit_inverse([[1, 1], [0, 1]], [[1, 0], [0, 1]])
+    with pytest.raises(AuditError):
+        _audit_inverse([[2, 0], [0, 1]], [[1, 0], [0, 1]])
+
+
+def test_sheared_golden_hodge_numbers():
+    # the golden P(1,1,2,2,2) input under x0 += 6 x1, x1 += 6 x2, x2 += 6 x3
+    def shear(v):
+        x = list(v)
+        x[0] += 6 * x[1]
+        x[1] += 6 * x[2]
+        x[2] += 6 * x[3]
+        return tuple(x)
+
+    def numbers(verts):
+        rep = hodge_report(ReflexivePair.from_polar(LatticePolytope.from_vertices(verts)))
+        return (rep.h11_untwisted, rep.h11_orb, rep.hn21_untwisted, rep.hn21_orb)
+
+    assert numbers([shear(v) for v in SIMPLEX_POLAR]) == numbers(SIMPLEX_POLAR) == (1, 2, 83, 86)
