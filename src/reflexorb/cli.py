@@ -11,10 +11,12 @@ or usage error, 5 dimension hypothesis violated without --force.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -97,12 +99,14 @@ def wps_polytope(weights) -> LatticePolytope:
 
 def _load_polytope(args) -> LatticePolytope:
     """Resolve the single input source to a polytope (fan side unless --dual)."""
-    has_file = getattr(args, "input", None) is not None
-    has_weights = getattr(args, "wps", None) is not None
+    if args.command == "wps":
+        return wps_polytope(args.weights)
+    has_file = args.input is not None
+    has_weights = args.wps is not None
     if has_file == has_weights:
         raise CliError("exactly one input source: a vertex file or --wps", EXIT_PARSE)
     if has_weights:
-        if getattr(args, "dual", False):
+        if args.dual:
             raise CliError("--wps already builds the fan side; drop --dual", EXIT_PARSE)
         try:
             weights = [int(x) for x in args.wps.split(",")]
@@ -168,12 +172,24 @@ def _cy_sector_obj(pair, s):
     }
 
 
-# -- subcommand payloads ---------------------------------------------------------
+# -- subcommands ---------------------------------------------------------------
+
+# name -> (handler, whether it takes the reflexive pair rather than the
+# input polytope, help text, parser options); main builds the argument and
+# calls handler(argument, args), which returns (payload, exit code)
+_COMMANDS = {}
 
 
-def _cmd_info(args):
-    poly = _load_polytope(args)
-    pair = _pair_from(poly, args.dual)
+def _command(name, help_text, *, pair=True, **options):
+    def register(handler):
+        _COMMANDS[name] = (handler, pair, help_text, options)
+        return handler
+
+    return register
+
+
+@_command("info", "structural summary")
+def _cmd_info(pair, args):
     fan = normal_fan(pair)
     polar = pair.delta_polar
     counts = [len(polar.faces(d)) for d in range(polar.n)]
@@ -185,29 +201,27 @@ def _cmd_info(args):
         "face_counts": counts,
         "vertices_delta": len(pair.delta.vertices),
     }
-    return payload, poly, EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_reflexive(args):
-    poly = _load_polytope(args)
+@_command("reflexive", "test reflexivity (exit 2 when false)", pair=False)
+def _cmd_reflexive(poly, args):
     if not poly.is_reflexive():
-        return {"reflexive": False}, poly, EXIT_NOT_REFLEXIVE
+        return {"reflexive": False}, EXIT_NOT_REFLEXIVE
     _pair_from(poly, args.dual)  # checks that polar duality closes
-    return {"reflexive": True}, poly, EXIT_OK
+    return {"reflexive": True}, EXIT_OK
 
 
-def _cmd_dual(args):
-    poly = _load_polytope(args)
-    _pair_from(poly, args.dual)  # checks that polar duality closes
-    dual = poly.polar_dual()
-    payload = {"vertices": [list(v) for v in dual.vertices]}
+@_command("dual", "polar dual vertices (tsv output is a reusable vertex file)")
+def _cmd_dual(pair, args):
+    dual = pair.delta_polar if args.dual else pair.delta
     if args.format == "tsv":
-        return format_vertex_matrix(dual.vertices), poly, EXIT_OK
-    return payload, poly, EXIT_OK
+        return format_vertex_matrix(dual.vertices), EXIT_OK
+    return {"vertices": [list(v) for v in dual.vertices]}, EXIT_OK
 
 
-def _cmd_faces(args):
-    poly = _load_polytope(args)
+@_command("faces", "face lattice with point counts", pair=False)
+def _cmd_faces(poly, args):
     faces = []
     counts = []
     for d in range(poly.n):
@@ -222,11 +236,11 @@ def _cmd_faces(args):
                     "n_interior": len(f.interior_lattice_points()),
                 }
             )
-    return {"counts": counts, "faces": faces}, poly, EXIT_OK
+    return {"counts": counts, "faces": faces}, EXIT_OK
 
 
-def _cmd_points(args):
-    poly = _load_polytope(args)
+@_command("points", "lattice points of a dilate", pair=False, points=True)
+def _cmd_points(poly, args):
     k = args.dilate
     if k < 1:
         raise CliError("--dilate must be a positive integer", EXIT_PARSE)
@@ -240,30 +254,23 @@ def _cmd_points(args):
         "count": len(pts),
         "points": [list(p) for p in pts],
     }
-    return payload, poly, EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_sectors_toric(args):
-    poly = _load_polytope(args)
-    pair = _pair_from(poly, args.dual)
+@_command("sectors-toric", "twisted sectors of the ambient toric variety")
+def _cmd_sectors_toric(pair, args):
     sectors = toric_twisted_sectors(normal_fan(pair))
-    return {"sectors": [_toric_sector_obj(s) for s in sectors]}, poly, EXIT_OK
+    return {"sectors": [_toric_sector_obj(s) for s in sectors]}, EXIT_OK
 
 
-def _cmd_sectors_cy(args):
-    poly = _load_polytope(args)
-    pair = _pair_from(poly, args.dual)
+@_command("sectors-cy", "twisted sectors of the anticanonical hypersurface", force=True)
+def _cmd_sectors_cy(pair, args):
     sectors = cy_twisted_sectors(pair, force=args.force)
-    return (
-        {"sectors": [_cy_sector_obj(pair, s) for s in sectors]},
-        poly,
-        EXIT_OK,
-    )
+    return {"sectors": [_cy_sector_obj(pair, s) for s in sectors]}, EXIT_OK
 
 
-def _cmd_hodge(args):
-    poly = _load_polytope(args)
-    pair = _pair_from(poly, args.dual)
+@_command("hodge", "orbifold Hodge numbers with audits", force=True)
+def _cmd_hodge(pair, args):
     rep = hodge_report(pair, force=args.force)
     payload = {
         "h11": rep.h11_untwisted,
@@ -278,78 +285,33 @@ def _cmd_hodge(args):
         "diamond": [list(row) for row in rep.diamond] if rep.diamond else None,
         "forced": rep.forced,
     }
-    return payload, poly, EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_mirror(args):
-    poly = _load_polytope(args)
-    pair = _pair_from(poly, args.dual)
-    rep = mirror_check(pair, force=args.force)
-    payload = {
-        "hypothesis_met": rep.hypothesis_met,
-        "reason": rep.reason,
-        "primary": list(rep.primary) if rep.primary else None,
-        "swapped": list(rep.swapped) if rep.swapped else None,
-        "match": rep.match,
-    }
-    return payload, poly, EXIT_OK
+@_command("mirror", "compare against the vertex-swapped pair", force=True)
+def _cmd_mirror(pair, args):
+    return asdict(mirror_check(pair, force=args.force)), EXIT_OK
 
 
-def _cmd_oracle_jacobian(args):
-    poly = _load_polytope(args)
-    pair = _pair_from(poly, args.dual)
-    rep = jacobian_rank_check(pair, seed=args.seed, force=args.force)
-    payload = {
-        "seed": rep.seed,
-        "seed_used": rep.seed_used,
-        "attempts": rep.attempts,
-        "rank": rep.rank,
-        "gamma": rep.gamma,
-        "l_delta": rep.l_delta,
-        "quotient": rep.quotient,
-        "formula": rep.formula,
-        "agrees": rep.agrees,
-        "generic": rep.generic,
-    }
-    return payload, poly, EXIT_OK
+@_command("oracle-jacobian", "independent rank check", seed=True, force=True)
+def _cmd_oracle_jacobian(pair, args):
+    return asdict(jacobian_rank_check(pair, seed=args.seed, force=args.force)), EXIT_OK
 
 
-def _cmd_wps(args):
-    poly = wps_polytope(list(args.weights))
-    ReflexivePair.from_polar(poly)  # checks that polar duality closes
+@_command("wps", "emit the fan-side polytope of weighted projective space", weights=True)
+def _cmd_wps(pair, args):
+    # building the pair checked that polar duality closes
+    poly = pair.delta_polar
     if args.format == "tsv" or args.format == "vertices":
-        return format_vertex_matrix(poly.vertices), poly, EXIT_OK
-    payload = {"vertices": [list(v) for v in poly.vertices]}
-    return payload, poly, EXIT_OK
-
-
-_COMMANDS = {
-    "info": _cmd_info,
-    "reflexive": _cmd_reflexive,
-    "dual": _cmd_dual,
-    "faces": _cmd_faces,
-    "points": _cmd_points,
-    "sectors-toric": _cmd_sectors_toric,
-    "sectors-cy": _cmd_sectors_cy,
-    "hodge": _cmd_hodge,
-    "mirror": _cmd_mirror,
-    "oracle-jacobian": _cmd_oracle_jacobian,
-    "wps": _cmd_wps,
-}
+        return format_vertex_matrix(poly.vertices), EXIT_OK
+    return {"vertices": [list(v) for v in poly.vertices]}, EXIT_OK
 
 
 # -- output rendering --------------------------------------------------------------
 
 
-def _render_json(payload, poly, r) -> str:
-    obj = {
-        "tool_version": __version__,
-        "input_hash": _input_hash(poly),
-        "n": poly.n,
-        "r": r,
-    }
-    obj.update(payload)
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _render_json(rows) -> str:
+    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
 
 
 def _tsv_scalar(value) -> str:
@@ -362,14 +324,7 @@ def _tsv_scalar(value) -> str:
     return str(value)
 
 
-def _render_tsv(payload, poly, r) -> str:
-    rows = {
-        "tool_version": __version__,
-        "input_hash": _input_hash(poly),
-        "n": poly.n,
-        "r": r,
-    }
-    rows.update(payload)
+def _render_tsv(rows) -> str:
     table_key = None
     for key in ("points", "faces", "sectors"):
         if key in rows and isinstance(rows[key], list):
@@ -395,91 +350,86 @@ def _render_tsv(payload, poly, r) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _add_options(p, *, weights=False, seed=False, force=False, points=False):
+    if weights:
+        p.add_argument("weights", nargs="+", type=int)
+        p.add_argument(
+            "--format",
+            choices=("json", "tsv", "vertices"),
+            default="vertices",
+            help="default is a reusable vertex matrix file",
+        )
+        return
+    p.add_argument("input", nargs="?", help="vertex matrix file")
+    p.add_argument("--wps", help="comma-separated weights instead of a file")
+    p.add_argument(
+        "--dual",
+        action="store_true",
+        help="read the input as the dual-side polytope",
+    )
+    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if force:
+        p.add_argument(
+            "--force",
+            action="store_true",
+            help="compute even when the ambient dimension is below 4",
+        )
+    if points:
+        p.add_argument("--interior-only", action="store_true")
+        p.add_argument("--dilate", type=int, default=1)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused."""
     parser = _Parser(
         prog="reflexorb",
         description="Twisted sectors and orbifold Hodge numbers of reflexive polytopes.",
     )
     parser.add_argument("--version", action="version", version=f"reflexorb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, seed=False, force=False, points=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", nargs="?", help="vertex matrix file")
-        p.add_argument("--wps", help="comma-separated weights instead of a file")
-        p.add_argument(
-            "--dual",
-            action="store_true",
-            help="read the input as the dual-side polytope",
-        )
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if force:
-            p.add_argument(
-                "--force",
-                action="store_true",
-                help="compute even when the ambient dimension is below 4",
-            )
-        if points:
-            p.add_argument("--interior-only", action="store_true")
-            p.add_argument("--dilate", type=int, default=1)
-        return p
-
-    add("info", "structural summary")
-    add("reflexive", "test reflexivity (exit 2 when false)")
-    add("dual", "polar dual vertices (tsv output is a reusable vertex file)")
-    add("faces", "face lattice with point counts")
-    add("points", "lattice points of a dilate", points=True)
-    add("sectors-toric", "twisted sectors of the ambient toric variety")
-    add("sectors-cy", "twisted sectors of the anticanonical hypersurface", force=True)
-    add("hodge", "orbifold Hodge numbers with audits", force=True)
-    add("mirror", "compare against the vertex-swapped pair", force=True)
-    add("oracle-jacobian", "independent rank check", seed=True, force=True)
-
-    wps = sub.add_parser("wps", help="emit the fan-side polytope of weighted projective space")
-    wps.add_argument("weights", nargs="+", type=int)
-    wps.add_argument(
-        "--format",
-        choices=("json", "tsv", "vertices"),
-        default="vertices",
-        help="default is a reusable vertex matrix file",
-    )
+    for name, (_, _, help_text, options) in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), **options)
     return parser
 
 
+# exception type -> exit code; a CliError carries its own
+_EXIT_CODES = {
+    VertexFileError: EXIT_PARSE,
+    NotFullDimensionalError: EXIT_PARSE,
+    NotReflexiveError: EXIT_NOT_REFLEXIVE,
+    NotSimplicialError: EXIT_NOT_SIMPLICIAL,
+    HypothesisError: EXIT_HYPOTHESIS,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        payload, poly, code = _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        handler, takes_pair, _, _ = _COMMANDS[args.command]
+        dual = getattr(args, "dual", False)
+        poly = _load_polytope(args)
+        payload, code = handler(_pair_from(poly, dual) if takes_pair else poly, args)
         if isinstance(payload, str):  # preformatted vertex matrix text
             sys.stdout.write(payload)
             return code
-        r = _ray_count(poly, getattr(args, "dual", False))
-        if args.format == "tsv":
-            sys.stdout.write(_render_tsv(payload, poly, r))
-        else:
-            sys.stdout.write(_render_json(payload, poly, r))
+        rows = {
+            "tool_version": __version__,
+            "input_hash": _input_hash(poly),
+            "n": poly.n,
+            "r": _ray_count(poly, dual),
+        }
+        rows.update(payload)
+        render = _render_tsv if args.format == "tsv" else _render_json
+        sys.stdout.write(render(rows))
         return code
-    except CliError as exc:
+    except (CliError, *_EXIT_CODES) as exc:
         print(f"reflexorb: {exc}", file=sys.stderr)
-        return exc.code
-    except VertexFileError as exc:
-        print(f"reflexorb: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotFullDimensionalError as exc:
-        print(f"reflexorb: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotReflexiveError as exc:
-        print(f"reflexorb: {exc}", file=sys.stderr)
-        return EXIT_NOT_REFLEXIVE
-    except NotSimplicialError as exc:
-        print(f"reflexorb: {exc}", file=sys.stderr)
-        return EXIT_NOT_SIMPLICIAL
-    except HypothesisError as exc:
-        print(f"reflexorb: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        if isinstance(exc, CliError):
+            return exc.code
+        return next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

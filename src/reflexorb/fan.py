@@ -9,38 +9,14 @@ with any bounding box.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 
 from .errors import NotSimplicialError
-from .linalg import rational_rank, smith_normal_form
+from .linalg import smith_normal_form
 from .polytope import ReflexivePair, Vector
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("REFLEXORB_THREADS", "0")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    if k <= 0:
-        return min(8, os.cpu_count() or 1)
-    return k
-
-
-def _map_in_order(fn, items):
-    """Apply fn across items, possibly on a thread pool, preserving order.
-
-    Results are merged in input order, so output never depends on scheduling.
-    """
-    items = list(items)
-    k = _thread_count()
-    if k <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -51,11 +27,22 @@ class Cone:
     generators: tuple[Vector, ...]
     face_ids: tuple[int, ...] | None = None
 
+    @cached_property
+    def _smith(self) -> tuple[tuple[int, ...], list[list[int]]]:
+        """(nonzero invariant factors, row transform u) of the Smith normal
+        form of the generator matrix, computed once per cone. The rank, the
+        group order and the box elements all read it."""
+        if not self.generators:
+            return (), []
+        d, u, _ = smith_normal_form([list(g) for g in self.generators])
+        diagonal = (d[i][i] for i in range(min(len(d), len(d[0]))))
+        factors = tuple(x for x in diagonal if x)
+        assert all(x > 0 for x in factors)
+        return factors, u
+
     @property
     def dim(self) -> int:
-        if not self.generators:
-            return 0
-        return rational_rank([list(g) for g in self.generators])
+        return len(self._smith[0])
 
     def is_simplicial(self) -> bool:
         return self.dim == len(self.generators)
@@ -94,17 +81,11 @@ class ToricSector:
 
 def quotient_group_order(cone: Cone) -> int:
     """Order of the local isotropy group: the index of the lattice spanned by
-    the generators inside its saturation, via Smith normal form."""
-    if not cone.generators:
-        return 1
+    the generators inside its saturation, the product of the invariant
+    factors of the cone's Smith normal form."""
     if not cone.is_simplicial():
         raise NotSimplicialError("group order needs linearly independent generators")
-    d, _, _ = smith_normal_form([list(g) for g in cone.generators])
-    order = 1
-    for i in range(len(cone.generators)):
-        order *= d[i][i]
-    assert order > 0
-    return order
+    return prod(cone._smith[0])
 
 
 def box_elements(cone: Cone, interior_only: bool = False) -> tuple[BoxElement, ...]:
@@ -122,9 +103,7 @@ def box_elements(cone: Cone, interior_only: bool = False) -> tuple[BoxElement, .
         raise NotSimplicialError("box enumeration needs linearly independent generators")
     d = len(gens)
     n = len(gens[0])
-    snf, u, _ = smith_normal_form([list(g) for g in gens])
-    divisors = [snf[i][i] for i in range(d)]
-    assert all(x > 0 for x in divisors)
+    divisors, u = cone._smith
     out = []
     stack = [()]
     for di in divisors:
@@ -143,8 +122,8 @@ def box_elements(cone: Cone, interior_only: bool = False) -> tuple[BoxElement, .
             point.append(int(x))
         out.append(BoxElement(coeffs, tuple(point)))
     out.sort(key=lambda e: e.point)
-    if not interior_only:
-        assert len(out) == quotient_group_order(cone)
+    # distinct odometer digits must give distinct lattice points
+    assert len({e.point for e in out}) == len(out), "box points repeat"
     return tuple(out)
 
 
@@ -161,39 +140,8 @@ class Fan:
     def r(self) -> int:
         return len(self.rays)
 
-    @classmethod
-    def from_generator_sets(cls, n: int, generator_sets) -> "Fan":
-        """Build a fan from maximal simplicial cones, closing under subsets."""
-        seen = {(): Cone(())}
-        for gens in generator_sets:
-            gens = tuple(tuple(g) for g in gens)
-            cone = Cone(gens)
-            if not cone.is_simplicial():
-                raise NotSimplicialError("from_generator_sets needs simplicial cones")
-            count = len(gens)
-            for mask in range(1, 2 ** count):
-                sub = tuple(
-                    sorted(gens[i] for i in range(count) if mask >> i & 1)
-                )
-                if sub not in seen:
-                    seen[sub] = Cone(sub)
-        return cls(n, seen.values())
-
-    def cones_of_dim(self, dim: int) -> tuple[Cone, ...]:
-        return tuple(c for c in self.cones if c.dim == dim)
-
     def is_simplicial(self) -> bool:
         return all(c.is_simplicial() for c in self.cones)
-
-    def is_gorenstein(self) -> bool:
-        """True when every box element of every cone has integral age."""
-        if not self.is_simplicial():
-            raise NotSimplicialError("Gorenstein test enumerates box elements")
-
-        def ages_integral(cone):
-            return all(e.age.denominator == 1 for e in box_elements(cone))
-
-        return all(_map_in_order(ages_integral, self.cones))
 
 
 def normal_fan(pair: ReflexivePair) -> Fan:
@@ -212,19 +160,14 @@ def toric_twisted_sectors(fan: Fan) -> tuple[ToricSector, ...]:
     sector and is skipped."""
     if not fan.is_simplicial():
         raise NotSimplicialError("twisted sectors require a simplicial fan")
-    work = [c for c in fan.cones if c.generators]
-
-    def sectors_of(cone):
+    out = []
+    for cone in fan.cones:
+        if not cone.generators:
+            continue
         interior = box_elements(cone, interior_only=True)
         if len(cone.generators) == 1:
             # primitive generator: the half-open segment holds no lattice point
             assert not interior
         order = quotient_group_order(cone)
-        return tuple(
-            ToricSector(cone, e, fan.n - cone.dim, order) for e in interior
-        )
-
-    out = []
-    for group in _map_in_order(sectors_of, work):
-        out.extend(group)
+        out.extend(ToricSector(cone, e, fan.n - cone.dim, order) for e in interior)
     return tuple(out)

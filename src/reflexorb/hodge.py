@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisError, NotSimplicialError
-from .fan import BoxElement, Cone, box_elements, normal_fan, quotient_group_order
-from .polytope import Face, ReflexivePair
+from .fan import BoxElement, box_elements, normal_fan, quotient_group_order
+from .polytope import ReflexivePair
 
 
 def _guard_dim(pair: ReflexivePair, force: bool):
@@ -55,10 +55,11 @@ def cy_twisted_sectors(pair: ReflexivePair, force: bool = False) -> tuple[CySect
     if not fan.is_simplicial():
         raise NotSimplicialError("twisted sectors require a simplicial normal fan")
     polar = pair.delta_polar
+    cone_over = {c.face_ids: c for c in fan.cones}
     out = []
     for dim in range(1, pair.n - 1):
         for face in polar.faces(dim):
-            cone = Cone(tuple(sorted(face.vertices())), face_ids=face.vertex_ids)
+            cone = cone_over[face.vertex_ids]
             interior = box_elements(cone, interior_only=True)
             if not interior:
                 continue
@@ -79,15 +80,6 @@ def cy_twisted_sectors(pair: ReflexivePair, force: bool = False) -> tuple[CySect
                     )
                 )
     return tuple(out)
-
-
-def sector_h_top(pair: ReflexivePair, sector: CySector) -> int:
-    """Top Hodge number of a sector's support curve: the interior count of
-    the dual face when the polar face is an edge, 0 for higher dimensions."""
-    if sector.face_dim != 1:
-        return 0
-    face = pair.delta_polar.face_by_vertex_ids(sector.face_ids)
-    return len(pair.dual_face(face).interior_lattice_points())
 
 
 def h11_untwisted(pair: ReflexivePair, force: bool = False) -> int:
@@ -198,13 +190,6 @@ def hodge_report(pair: ReflexivePair, force: bool = False) -> HodgeReport:
         diamond=diamond,
         forced=force and pair.n < 4,
     )
-
-
-def hodge_diamond(pair: ReflexivePair) -> tuple[tuple[int, ...], ...]:
-    """Hodge diamond of the threefold case (ambient dimension exactly 4)."""
-    if pair.n != 4:
-        raise HypothesisError("diamond layout is specific to ambient dimension 4")
-    return hodge_report(pair).diamond
 
 
 @dataclass(frozen=True)

@@ -52,20 +52,10 @@ def lifted_ray_subset(pair: ReflexivePair) -> tuple[Vector, ...]:
     raise AssertionError("lifted rays failed to span")
 
 
-def euler_rows(pair: ReflexivePair, coeffs, rays=None) -> list[list[int]]:
-    """One row per ray: entry at column m is lambda_m * (<m, v> + 1).
-
-    Defaults to the independent lifted subset; pass explicit rays to build
-    the full redundant system.
-    """
-    if rays is None:
-        rays = lifted_ray_subset(pair)
-    return _rows(pair, coeffs, rays, ())
-
-
 def facet_interior_pairs(pair: ReflexivePair) -> tuple[tuple[Vector, Vector], ...]:
     """(ray, interior point of its dual facet) pairs, in ray order then
-    lexicographic point order. Labels the facet_interior_rows."""
+    lexicographic point order. Labels the facet interior rows of
+    assemble_matrix."""
     facet_of = {}
     for face in pair.delta.faces(pair.n - 1):
         (idx,) = face.active_facets
@@ -78,32 +68,22 @@ def facet_interior_pairs(pair: ReflexivePair) -> tuple[tuple[Vector, Vector], ..
     return tuple(out)
 
 
-def facet_interior_rows(pair: ReflexivePair, coeffs) -> list[list[int]]:
-    """One row per (ray v_i, interior point m* of the dual facet): entry at
-    column m is lambda_{m-m*} * (<m-m*, v_i> + 1) when m-m* lies in delta,
-    zero otherwise."""
-    return _rows(pair, coeffs, (), facet_interior_pairs(pair))
-
-
 def gamma(pair: ReflexivePair) -> int:
     """Target rank: n + 1 + total facet interior points of delta."""
     return pair.n + 1 + len(facet_interior_pairs(pair))
 
 
 def assemble_matrix(pair: ReflexivePair, coeffs, rays=None, pairs=None) -> list[list[int]]:
-    """Euler rows, then facet interior rows. A caller that builds several
-    matrices for one pair passes the rays and pairs it computed once."""
+    """Euler rows, then facet interior rows. An Euler row for ray v has entry
+    lambda_m * (<m, v> + 1) at column m; a facet interior row for (v, m*)
+    places the same value at column m + m* when that lies in delta, zero
+    elsewhere. Each ray's column values are computed once. Rays default to
+    the lifted subset and pairs to all facet interior pairs; a caller that
+    builds several matrices for one pair passes the ones it computed once."""
     if rays is None:
         rays = lifted_ray_subset(pair)
     if pairs is None:
         pairs = facet_interior_pairs(pair)
-    return _rows(pair, coeffs, rays, pairs)
-
-
-def _rows(pair: ReflexivePair, coeffs, rays, pairs) -> list[list[int]]:
-    """Euler rows for rays, then facet interior rows for pairs. Each ray's
-    column values lambda_m * (<m, v> + 1) are computed once; a facet row
-    places them at the columns m + m* that lie in delta."""
     basis = monomial_basis(pair)
     column = {m: j for j, m in enumerate(basis)}
     needed = dict.fromkeys([*rays, *(ray for ray, _ in pairs)])

@@ -33,66 +33,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def matrix_multiply(a, b):
-    if not a or not b:
-        return []
-    inner = len(b)
-    assert all(len(row) == inner for row in a)
-    cols = len(b[0])
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for row in a
-    ]
-
-
-def hermite_normal_form(m) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns (h, u) with u unimodular and u * m = h. Pivot entries are
-    positive, entries above each pivot are reduced into [0, pivot), and zero
-    rows sit at the bottom.
-    """
-    h = _copy_int_matrix(m)
-    rows = len(h)
-    cols = len(h[0]) if rows else 0
-    u = identity_matrix(rows)
-    row = 0
-    for col in range(cols):
-        if row == rows:
-            break
-        # gcd elimination below the pivot slot
-        while True:
-            live = [i for i in range(row, rows) if h[i][col] != 0]
-            if not live:
-                break
-            piv = min(live, key=lambda i: abs(h[i][col]))
-            if piv != row:
-                h[row], h[piv] = h[piv], h[row]
-                u[row], u[piv] = u[piv], u[row]
-            done = True
-            for i in range(row + 1, rows):
-                if h[i][col] != 0:
-                    q = h[i][col] // h[row][col]
-                    _row_sub(h, i, row, q)
-                    _row_sub(u, i, row, q)
-                    if h[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if h[row][col] == 0:
-            continue
-        if h[row][col] < 0:
-            _row_negate(h, row)
-            _row_negate(u, row)
-        for i in range(row):
-            q = h[i][col] // h[row][col]
-            if q:
-                _row_sub(h, i, row, q)
-                _row_sub(u, i, row, q)
-        row += 1
-    return h, u
-
-
 def _row_sub(m, i, j, q):
     if q:
         mi, mj = m[i], m[j]
@@ -189,35 +129,6 @@ def _col_sub(m, a, b, q):
     if q:
         for row in m:
             row[a] -= q * row[b]
-
-
-def diagonal_of(d) -> list[int]:
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
-def integer_determinant(m) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
-    a = _copy_int_matrix(m)
-    n = len(a)
-    if n == 0:
-        return 1
-    if len(a[0]) != n:
-        raise ValueError("determinant requires a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _rows_as_integers(m) -> IntMatrix:

@@ -84,7 +84,7 @@ class Face:
 class LatticePolytope:
     """Full-dimensional lattice polytope with exact facet data."""
 
-    def __init__(self, vertices, facets, *, _skip_checks=False):
+    def __init__(self, vertices, facets):
         self.vertices: tuple[Vector, ...] = tuple(tuple(v) for v in vertices)
         self.facets: tuple[FacetInequality, ...] = tuple(facets)
         self.n: int = len(self.vertices[0]) if self.vertices else 0

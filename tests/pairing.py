@@ -1,8 +1,44 @@
 """Determinant witness that the Euler rows of the Jacobian rank matrix are
-independent. Used only by the tests; the oracle itself certifies its rank."""
+independent, and the two row blocks of that matrix on their own. Used only
+by the tests; the oracle itself certifies its rank."""
 
-from reflexorb.jacobian import lifted_ray_subset
-from reflexorb.linalg import integer_determinant, rational_rank
+from reflexorb.jacobian import assemble_matrix, facet_interior_pairs, lifted_ray_subset
+from reflexorb.linalg import rational_rank
+
+
+def integer_determinant(m) -> int:
+    """Determinant by fraction-free Bareiss elimination."""
+    a = [list(row) for row in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant requires a square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def euler_rows(pair, coeffs, rays=None):
+    """The Euler rows alone, for the lifted ray subset or the given rays."""
+    return assemble_matrix(pair, coeffs, rays, ())
+
+
+def facet_interior_rows(pair, coeffs):
+    """The facet interior rows alone."""
+    return assemble_matrix(pair, coeffs, (), facet_interior_pairs(pair))
 
 
 def independent_vertex_subset(pair):

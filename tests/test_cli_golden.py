@@ -1,0 +1,255 @@
+"""Byte-identity pins for the command line.
+
+Every subcommand runs in json and tsv, on the fan side and with --dual, on
+the golden P(1,1,2,2,2) vertex file and on cross4, and on one --wps input;
+the wps command runs in its three formats. Each run pins its exit code and
+the sha256 of its stdout. The error paths pin the exit code and the single
+stderr line. A change that alters one byte of output fails here, so output
+changes are made on purpose, with new digests.
+"""
+
+import hashlib
+
+import pytest
+
+from reflexorb.cli import main
+from reflexorb.polytope import format_vertex_matrix
+
+from test_polytope import CROSS4, CUBE4, SIMPLEX_POLAR
+
+COMMANDS = (
+    "info",
+    "reflexive",
+    "dual",
+    "faces",
+    "points",
+    "sectors-toric",
+    "sectors-cy",
+    "hodge",
+    "mirror",
+    "oracle-jacobian",
+)
+FORMATS = ("json", "tsv")
+WPS = "1,1,1,1,2"
+INPUTS = {
+    "golden": format_vertex_matrix(SIMPLEX_POLAR),
+    "cross4": format_vertex_matrix(CROSS4),
+    "cube4": format_vertex_matrix(CUBE4),
+    "doubled": format_vertex_matrix([tuple(2 * x for x in v) for v in SIMPLEX_POLAR]),
+    "square": format_vertex_matrix([(-1, -1), (1, -1), (1, 1), (-1, 1)]),
+    "flat": format_vertex_matrix([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+    "short": "5 4\n1 0 0 0\n0 1 0\n",
+}
+
+
+def cases():
+    """(case id, argv) for every stdout pin; `@name` stands for the path of
+    the input file `name`."""
+    for name in ("golden", "cross4"):
+        for cmd in COMMANDS:
+            for side in ("fan", "dual"):
+                for fmt in FORMATS:
+                    dual = ["--dual"] if side == "dual" else []
+                    yield f"{cmd} {name} {side} {fmt}", [cmd, f"@{name}", *dual, "--format", fmt]
+    for cmd in COMMANDS:
+        for fmt in FORMATS:
+            yield f"{cmd} wps {fmt}", [cmd, "--wps", WPS, "--format", fmt]
+    for fmt in ("json", "tsv", "vertices"):
+        yield f"wps {fmt}", ["wps", "1", "1", "2", "2", "2", "--format", fmt]
+
+
+# case id -> (exit code, sha256 of stdout)
+DIGESTS = {
+    "info golden fan json": (0, "3d3b1a52777fb26c6633ed1e4aefc1188498ea8278499934f97feaa41a3e5386"),
+    "info golden fan tsv": (0, "5503bb3b1103f400c394cb5ed1c58f3a391d7b57f8440930f8431238e5bdb42e"),
+    "info golden dual json": (0, "102f8837284221315e3c2f1dcb3e70eb6c6b863df07dd36cd0e3ba8e175839b9"),
+    "info golden dual tsv": (0, "8853206338d1204c0d1ae5765a93d7953276a5b582c26605874441d23215ffab"),
+    "reflexive golden fan json": (0, "7ebe40de2260b51ef2ebd35a5356329a06c6129dd0eadfb7e85acfebc64e7c19"),
+    "reflexive golden fan tsv": (0, "a92d8a7ff1d49a48f6e5a66b4f4c6978ad799f1057ead8644aae2e63313e5118"),
+    "reflexive golden dual json": (0, "7ebe40de2260b51ef2ebd35a5356329a06c6129dd0eadfb7e85acfebc64e7c19"),
+    "reflexive golden dual tsv": (0, "a92d8a7ff1d49a48f6e5a66b4f4c6978ad799f1057ead8644aae2e63313e5118"),
+    "dual golden fan json": (0, "229a3ebdf408debd569a9a3540c48143fc99ed8d562c89ae12790a698e44fbb9"),
+    "dual golden fan tsv": (0, "39697f7e9fa69e3ec191ba06e10700601eeb52f9fd8069b455a5c634e0c029e4"),
+    "dual golden dual json": (0, "229a3ebdf408debd569a9a3540c48143fc99ed8d562c89ae12790a698e44fbb9"),
+    "dual golden dual tsv": (0, "39697f7e9fa69e3ec191ba06e10700601eeb52f9fd8069b455a5c634e0c029e4"),
+    "faces golden fan json": (0, "0518a48d027359260c7c5371305deb311975131e81c0d6bfa406bfeae6ff2934"),
+    "faces golden fan tsv": (0, "4d79a86aae8d3b931ed766a805c1d4fa98b559d2be015b524a3c6f941a63b36e"),
+    "faces golden dual json": (0, "0518a48d027359260c7c5371305deb311975131e81c0d6bfa406bfeae6ff2934"),
+    "faces golden dual tsv": (0, "4d79a86aae8d3b931ed766a805c1d4fa98b559d2be015b524a3c6f941a63b36e"),
+    "points golden fan json": (0, "707e83d981f9812b732105ecf15971a28276c89152480323dc56f72204cede45"),
+    "points golden fan tsv": (0, "b2580ca53b1ed75768b916db0d7b3023b8800c567fba933463055455408fffa4"),
+    "points golden dual json": (0, "707e83d981f9812b732105ecf15971a28276c89152480323dc56f72204cede45"),
+    "points golden dual tsv": (0, "b2580ca53b1ed75768b916db0d7b3023b8800c567fba933463055455408fffa4"),
+    "sectors-toric golden fan json": (0, "78a4faa15e4d7836b7153f8faf70268160fcab1fd3ed4841c9e50661a813ffec"),
+    "sectors-toric golden fan tsv": (0, "2820c3ea4c93b1a7a51f824a39e81ec568f4b7dfacab1182ac4867f2fb50947a"),
+    "sectors-toric golden dual json": (0, "bd1151dbb30c5a7959b1f16b51e43d8fa70c2fbebe35eddf70af06954e29616b"),
+    "sectors-toric golden dual tsv": (0, "4d3a0d781d89765bfe94ac85ea2c64da469784fbf2873354915a814b3a13d549"),
+    "sectors-cy golden fan json": (0, "7e8476ab6688ac51aeb18f58968b787ad29ea35b6a993e6a2da54264fb9178ce"),
+    "sectors-cy golden fan tsv": (0, "6d0bc40556e0c9514f114f9ce278740dad2413114373150e4129d20be2c74138"),
+    "sectors-cy golden dual json": (0, "31f418f1840c1b46712761f1f3d5ea31c6de022815dc5e951b9d03da6fd3134a"),
+    "sectors-cy golden dual tsv": (0, "541e1696d97fcc13db24759f4a9331f8b062bc0e7e9fd07ec4c5878ee1b0638b"),
+    "hodge golden fan json": (0, "5fec85494b6408f7348f4e08127428d7c53296e38f97bd5588d5c90324180f44"),
+    "hodge golden fan tsv": (0, "e985b918b3494ec24acfb121e815fc82287ea061d8c8d58b0566359b00cfb1fd"),
+    "hodge golden dual json": (0, "aed370195aa1a2dcab06d6b1c4a50a37fb769f8580fc136f995b480b27cc991e"),
+    "hodge golden dual tsv": (0, "d5625669e3f0382161d1aef2524a3ba454825478ee53b25f79ff5f95f647eede"),
+    "mirror golden fan json": (0, "3a2471f1428e94c4b4b591a2f1e270100341ec50ce8a7d98f4c216bcdc0da478"),
+    "mirror golden fan tsv": (0, "c7dac1f4bb8690dcafac914a568d4b7aa957460c04e07ffe6b742def4a6fed89"),
+    "mirror golden dual json": (0, "34ece32edc4a6b022ebf92f0ed05e8ee36928ed1aa094cea3e5fa606ee2990bd"),
+    "mirror golden dual tsv": (0, "235b106cbb0791b38aaf036845bec253f6f2fceaa8a5090eb8b7f52cb4b25bf1"),
+    "oracle-jacobian golden fan json": (0, "f107e85ea5eaee4b72cef24bca561bf8a6681b70495d1f081b655320a9f7611b"),
+    "oracle-jacobian golden fan tsv": (0, "63c2d47c32ae59b002d9d11acac600dee7644b7eca90fabc09e0b5bc61c82e0a"),
+    "oracle-jacobian golden dual json": (0, "eeb84f2e206e007fd969719cbbff667d6f2597d60310a65a1479ec292494ebb2"),
+    "oracle-jacobian golden dual tsv": (0, "f1c6c00252b52924b992989f79b895ff86f854898ff733a669a6c340124f71f7"),
+    "info cross4 fan json": (0, "f1db98b7ecc74cd6898f6804a34b49144b85667c43f8d0e3747638df869e720d"),
+    "info cross4 fan tsv": (0, "390d974a624e8a8f9ece91535e5f4879e089b7299d6d60032865feb066e4af40"),
+    "info cross4 dual json": (0, "8761ea839ef9e9d1663bc18c3af67544ba120ce7164eec10e8fdab3541d89d57"),
+    "info cross4 dual tsv": (0, "9be25529263a9b38b41aaf13ebad28c65d28b2cea5ba14ac10d3a05bf336a6b7"),
+    "reflexive cross4 fan json": (0, "ed05f61a18e40c3740473380bf01804db35c50b41aa30be6e2817e19fcd71ac4"),
+    "reflexive cross4 fan tsv": (0, "11ed05f819c0ef6c3e2f75f5fcf08ca69e78c84fdc16b201021558fd79273ec9"),
+    "reflexive cross4 dual json": (0, "387705bacef785ccfac8f31d36b0b1eaa5b467fb3dde6dcd8e15e4c43810bed1"),
+    "reflexive cross4 dual tsv": (0, "7c1634ffbd32eb3c120ccfe17519e340513d3955a5bdba1e484852fd66fe2c53"),
+    "dual cross4 fan json": (0, "1758c65794533b84bdc2febecf93b9bdc4d9fe19a9aea02fc5f353bca3fb418d"),
+    "dual cross4 fan tsv": (0, "5ea526438d0eb3589a5b483c9a74ce5ff6613052c7d4afe3514129ac8f3cc8ef"),
+    "dual cross4 dual json": (0, "7c4562eff4946694f65ba7b1e8fa830226457cc17fc1c5040997b8f2a6cf469e"),
+    "dual cross4 dual tsv": (0, "5ea526438d0eb3589a5b483c9a74ce5ff6613052c7d4afe3514129ac8f3cc8ef"),
+    "faces cross4 fan json": (0, "9b5a7d9b6fbbe916bfb3de4eba6d880fb0710f59872f39c57df0ba5448f9a6ea"),
+    "faces cross4 fan tsv": (0, "9d89eed790d49c078d28046b6098d2a20552ccc6eb043277c6b96006a0e4b14b"),
+    "faces cross4 dual json": (0, "35872a27291d0f18abbdc7bad92a607027cc2f1102a7ac4dfebd87642b301c3a"),
+    "faces cross4 dual tsv": (0, "4b7480a14965df6efbc8a61482460d0dc9d64a5306865b06b2bff2a5d979888c"),
+    "points cross4 fan json": (0, "3ffa07a5d3113ec512133e264fb968b761b16601094fdeeda54af406b0d57a75"),
+    "points cross4 fan tsv": (0, "79f3685b736248f6d9a4cdf11c9b42e7efe35c379782c0e7ff16d23bd8198e42"),
+    "points cross4 dual json": (0, "008bcc4d0a45e9517992a7205b28b41065a655061693d4a1acfeb1a3a13ecaed"),
+    "points cross4 dual tsv": (0, "d0e7aac4638438c7350abda0271e6ff80c078aa927faf1027f9cb4cc61f995bc"),
+    "sectors-toric cross4 fan json": (0, "cb385dca8874c145c691b334b95c244f71595f2efa48651b8084534ff46ebeb8"),
+    "sectors-toric cross4 fan tsv": (0, "2d039536a841a6c035e7e5fae6a35c1b44fff2e14d277c7fce684143c0d70465"),
+    "sectors-toric cross4 dual json": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sectors-toric cross4 dual tsv": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sectors-cy cross4 fan json": (0, "cb385dca8874c145c691b334b95c244f71595f2efa48651b8084534ff46ebeb8"),
+    "sectors-cy cross4 fan tsv": (0, "2d039536a841a6c035e7e5fae6a35c1b44fff2e14d277c7fce684143c0d70465"),
+    "sectors-cy cross4 dual json": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sectors-cy cross4 dual tsv": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hodge cross4 fan json": (0, "9e077dc62bc391f34213c23445f380ced4ad30a58449ab28844f04f063e7e1af"),
+    "hodge cross4 fan tsv": (0, "b2a513ea2fea8ad15419cefb0c26b386e446b3acb0edde57e81e5added000943"),
+    "hodge cross4 dual json": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hodge cross4 dual tsv": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "mirror cross4 fan json": (0, "352eb85a8f8dc02c2a1450df9f3b4ecb5db6d983d2729d38779a18a59803f304"),
+    "mirror cross4 fan tsv": (0, "2d041a681b30d68bcb1042af5729589c0589518e40d3eb95dbe3fafcf2a3741d"),
+    "mirror cross4 dual json": (0, "0a5a8805f0780731f4b3a7602403f65513714646541c5c506d5c98110797d70d"),
+    "mirror cross4 dual tsv": (0, "44be7257d09ada8c03a4b1aeeecf56a32930172dd69143bb2016a2e592b28a89"),
+    "oracle-jacobian cross4 fan json": (0, "5edbcb3b0f28445474eb816f9d5bdd9563b2810c020eb6bbc301072b9c64f550"),
+    "oracle-jacobian cross4 fan tsv": (0, "9234e728dac3555f1c9339a001887b35955b92499fbb04634ff925ac0bc28dda"),
+    "oracle-jacobian cross4 dual json": (0, "cb1bb311bd81654c8713cd583af55044d6d2c2048333998f1f60bc01c44e9ddd"),
+    "oracle-jacobian cross4 dual tsv": (0, "be27d0d8e7e21c1b7c75cd799bb4ec6157d036f8160f3c2c26a33ccdd1df8eaa"),
+    "info wps json": (0, "34a3fdb3990242690198c6245a17be1d81ce37a77d9b63aec50bbe080450dbac"),
+    "info wps tsv": (0, "e43533e5219d2b790a629b93fb4d65702a89304ef3ef68a434f8d39081a4b007"),
+    "reflexive wps json": (0, "3caf541aff1f8a9bfa18d14a6db5b912817e940d7b154fc734c88d1bdaa181cb"),
+    "reflexive wps tsv": (0, "53b8efdbc3e7f83281f0c5434a558d46b2dd1040079d6b1a40cb7c5f7470e995"),
+    "dual wps json": (0, "c1af7d5d0b4025df91a6edd25ef75e17ca906775358cb23c44e0ae5ee66b6838"),
+    "dual wps tsv": (0, "cf868c5c31423194dd72786b13db8f83e1f5af847206b9f2211ddc8795bde782"),
+    "faces wps json": (0, "d3c55a1d80db3236900ae0184bcb89b0bd2955491e0a2b5a7eb45d5e21e048ec"),
+    "faces wps tsv": (0, "0f1c8b58e9ed2f04d634ec699dc63c0cce975682968b66894eb6ab80354113f6"),
+    "points wps json": (0, "275874a7e3e700ed4dcd04b56b7b048037ff2f6ed288a499ef3c2bf0fc56a554"),
+    "points wps tsv": (0, "29b8bd41f0bd9818f02fea178c97d5a49da304cbde59ee02f2098a378e8460e8"),
+    "sectors-toric wps json": (0, "4f134fe3c80ce5e813eb785258502a4b51c96c5945e171001804a28a8ff4f355"),
+    "sectors-toric wps tsv": (0, "e06ff27dd5554b28efaefcb654e0c2c70e343bfa9bc48a6db93b094c2c1371a4"),
+    "sectors-cy wps json": (0, "aa010540ace8691b7293fce279f645b8093c73f1a6f1b10e77a020eff8e5be98"),
+    "sectors-cy wps tsv": (0, "300bee73cc5a24307fce54df45875fa370379abe4ea29d58270548376037256b"),
+    "hodge wps json": (0, "1aa0f0013f8ae8e93ba6b4fb65b359c771e10a2d5b31bf95571bbebb7e56eb62"),
+    "hodge wps tsv": (0, "30e9021bd91746d301637e02b67690039ecd5eee3fb2d3c392098b62f4a628b0"),
+    "mirror wps json": (0, "1738a55e4eea05bc8a97b5a3b7ac2e9e9f1f6ff5c39c213e0a1c9a1d23dcd884"),
+    "mirror wps tsv": (0, "087aca118d556f4a2a89f4043cad5baa1327de2fd617ae73fbdeea1fd37feaca"),
+    "oracle-jacobian wps json": (0, "1d6d6d37c18949d0df05646b6a080ec17f0d60db71f657104ec05c8b40da4a58"),
+    "oracle-jacobian wps tsv": (0, "d2c60ccd569edd73c743ed72ee61b43eb014fe86f491b3c0b6471affb0c54f82"),
+    "wps json": (0, "01d8776c7b62197a32f44a9877b7c5de952b7ce64be745c350060c07168c76fb"),
+    "wps tsv": (0, "3dd94db5ed1d43f87ce4e97be9bfd13dc31cd6044efdc49924428dac1d4aa3a7"),
+    "wps vertices": (0, "3dd94db5ed1d43f87ce4e97be9bfd13dc31cd6044efdc49924428dac1d4aa3a7"),
+}
+
+# case id -> (argv, exit code, stderr)
+ERRORS = {
+    "parse error": (
+        ["hodge", "@short"],
+        4,
+        "reflexorb: line 3: expected 4 coordinates, got 3\n",
+    ),
+    "not full dimensional": (
+        ["info", "@flat"],
+        4,
+        "reflexorb: points span an affine subspace of dimension 2 < 3\n",
+    ),
+    "not reflexive": (
+        ["hodge", "@doubled"],
+        2,
+        "reflexorb: pair requires a reflexive polytope\n",
+    ),
+    "not simplicial": (
+        ["sectors-toric", "@cube4"],
+        3,
+        "reflexorb: twisted sectors require a simplicial fan\n",
+    ),
+    "hypothesis": (
+        ["hodge", "@square"],
+        5,
+        "reflexorb: formulas assume ambient dimension >= 4, got 2; pass force to evaluate anyway\n",
+    ),
+    "two input sources": (
+        ["hodge", "@golden", "--wps", "1,1,2,2,2"],
+        4,
+        "reflexorb: exactly one input source: a vertex file or --wps\n",
+    ),
+    "wps with dual": (
+        ["hodge", "--wps", "1,1,2,2,2", "--dual"],
+        4,
+        "reflexorb: --wps already builds the fan side; drop --dual\n",
+    ),
+    "dilate zero": (
+        ["points", "@golden", "--dilate", "0"],
+        4,
+        "reflexorb: --dilate must be a positive integer\n",
+    ),
+    "unsupported weights": (
+        ["wps", "2", "3", "5"],
+        2,
+        "reflexorb: unsupported weights: no weight equals 1\n",
+    ),
+    "not well formed": (
+        ["wps", "2", "2", "1", "2", "2"],
+        4,
+        "reflexorb: weights are not well-formed: dropping one leaves a common factor\n",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden-inputs")
+    for name, text in INPUTS.items():
+        (directory / f"{name}.txt").write_text(text)
+    return directory
+
+
+def resolve(argv, directory):
+    return [str(directory / f"{a[1:]}.txt") if a.startswith("@") else a for a in argv]
+
+
+def run(argv, directory, capsys):
+    code = main(resolve(argv, directory))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_every_stdout_case_is_pinned():
+    assert sorted(DIGESTS) == sorted(case for case, _ in cases())
+
+
+@pytest.mark.parametrize("case,argv", list(cases()), ids=[case for case, _ in cases()])
+def test_stdout_bytes(case, argv, input_dir, capsys):
+    code, out, _ = run(argv, input_dir, capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(ERRORS))
+def test_error_path(case, input_dir, capsys):
+    argv, want_code, want_err = ERRORS[case]
+    code, out, err = run(argv, input_dir, capsys)
+    assert (code, out, err) == (want_code, "", want_err)

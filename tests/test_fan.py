@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from reflexorb import fan as fan_module
+from reflexorb import jacobian, linalg, polytope
 from reflexorb.errors import NotSimplicialError
 from reflexorb.fan import (
     BoxElement,
@@ -17,6 +19,27 @@ from reflexorb.fan import (
 from reflexorb.polytope import LatticePolytope, ReflexivePair
 
 from test_polytope import CROSS4, CUBE4, SIMPLEX_POLAR
+
+
+def fan_from_generator_sets(n, generator_sets):
+    """Fan of the given maximal simplicial cones, closed under subsets."""
+    seen = {(): Cone(())}
+    for gens in generator_sets:
+        gens = tuple(tuple(g) for g in gens)
+        assert Cone(gens).is_simplicial()
+        for mask in range(1, 2 ** len(gens)):
+            sub = tuple(sorted(g for i, g in enumerate(gens) if mask >> i & 1))
+            seen.setdefault(sub, Cone(sub))
+    return Fan(n, seen.values())
+
+
+def cones_of_dim(fan, dim):
+    return tuple(c for c in fan.cones if c.dim == dim)
+
+
+def is_gorenstein(fan):
+    """True when every box element of every cone has integral age."""
+    return all(e.age.denominator == 1 for c in fan.cones for e in box_elements(c))
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +86,7 @@ def test_normal_fan_shape(simplex_fan):
     pair, fan = simplex_fan
     assert fan.r == 5
     assert set(fan.rays) == set(SIMPLEX_POLAR)
-    assert len(fan.cones_of_dim(4)) == 5
+    assert len(cones_of_dim(fan, 4)) == 5
     assert len(fan.cones) == 1 + 5 + 10 + 10 + 5  # zero cone plus proper faces
     assert fan.is_simplicial()
 
@@ -71,7 +94,7 @@ def test_normal_fan_shape(simplex_fan):
 def test_cross_fan_shape(cross_fan):
     pair, fan = cross_fan
     assert fan.r == 8
-    assert len(fan.cones_of_dim(4)) == 16
+    assert len(cones_of_dim(fan, 4)) == 16
     assert fan.is_simplicial()
     # smooth fan: every cone is unimodular
     assert all(quotient_group_order(c) == 1 for c in fan.cones)
@@ -180,13 +203,13 @@ def test_box_partitions_over_faces():
 
 
 def test_gorenstein_reflexive_fans(simplex_fan, cross_fan):
-    assert simplex_fan[1].is_gorenstein()
-    assert cross_fan[1].is_gorenstein()
+    assert is_gorenstein(simplex_fan[1])
+    assert is_gorenstein(cross_fan[1])
 
 
 def test_gorenstein_witness_fails():
-    fan = Fan.from_generator_sets(2, [[(1, 0), (2, 5)]])
-    assert not fan.is_gorenstein()
+    fan = fan_from_generator_sets(2, [[(1, 0), (2, 5)]])
+    assert not is_gorenstein(fan)
     ages = sorted(e.age for e in box_elements(Cone(((1, 0), (2, 5)))))
     # frozen from the parallelepiped scan oracle
     assert ages == [0, Fraction(3, 5), Fraction(4, 5), Fraction(6, 5), Fraction(7, 5)]
@@ -230,3 +253,27 @@ def test_sector_determinism(simplex_fan, monkeypatch):
     monkeypatch.setenv("REFLEXORB_THREADS", "1")
     fourth = toric_twisted_sectors(fan)
     assert first == fourth
+
+
+@pytest.mark.parametrize("verts", [SIMPLEX_POLAR, CROSS4], ids=["simplex", "cross4"])
+def test_one_smith_form_per_cone(verts, monkeypatch):
+    fan = normal_fan(ReflexivePair.from_polar(LatticePolytope.from_vertices(verts)))
+    calls = []
+    snf = fan_module.smith_normal_form
+
+    def counting_snf(m):
+        calls.append(tuple(map(tuple, m)))
+        return snf(m)
+
+    def no_rank(m):
+        raise AssertionError("cones must not compute a rank")
+
+    monkeypatch.setattr(fan_module, "smith_normal_form", counting_snf)
+    for module in (fan_module, jacobian, linalg, polytope):
+        monkeypatch.setattr(module, "rational_rank", no_rank, raising=False)
+    sectors = toric_twisted_sectors(fan)
+    nonzero = [c for c in fan.cones if c.generators]
+    assert len(calls) <= len(nonzero)
+    assert len(set(calls)) == len(calls)  # no cone's matrix factored twice
+    assert toric_twisted_sectors(fan) == sectors
+    assert len(set(calls)) == len(calls)  # the second pass reads the caches

@@ -9,17 +9,22 @@ from reflexorb.errors import AuditError, HypothesisError
 from reflexorb.jacobian import (
     assemble_matrix,
     draw_coefficients,
-    euler_rows,
     facet_interior_pairs,
-    facet_interior_rows,
     gamma,
     jacobian_rank_check,
     lifted_ray_subset,
     monomial_basis,
 )
-from reflexorb.linalg import integer_determinant, rational_kernel_basis, rational_rank
+from reflexorb.linalg import rational_kernel_basis, rational_rank
 
-from pairing import independent_vertex_subset, matrix_e, verify_matrix_p_nonsingular
+from pairing import (
+    euler_rows,
+    facet_interior_rows,
+    independent_vertex_subset,
+    integer_determinant,
+    matrix_e,
+    verify_matrix_p_nonsingular,
+)
 from test_hodge import (
     FIVEDIM_POLAR,
     OCTIC_POLAR,

@@ -3,16 +3,14 @@ from fractions import Fraction
 
 import oracles
 from reflexorb.linalg import (
-    diagonal_of,
-    hermite_normal_form,
     identity_matrix,
-    integer_determinant,
-    matrix_multiply,
     rank_mod_p,
     rational_kernel_basis,
     rational_rank,
     smith_normal_form,
 )
+
+from pairing import integer_determinant
 
 SIMPLEX_RAYS = [
     (-1, -2, -2, -2),
@@ -27,58 +25,12 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
-def assert_hnf_shape(h):
-    rows = len(h)
-    cols = len(h[0]) if rows else 0
-    pivot_cols = []
-    prev = -1
-    for i in range(rows):
-        nz = [j for j in range(cols) if h[i][j] != 0]
-        if not nz:
-            # all later rows must be zero too
-            for k in range(i, rows):
-                assert all(x == 0 for x in h[k])
-            break
-        lead = nz[0]
-        assert lead > prev
-        assert h[i][lead] > 0
-        for above in range(i):
-            assert 0 <= h[above][lead] < h[i][lead]
-        pivot_cols.append(lead)
-        prev = lead
-    return pivot_cols
+def matrix_multiply(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def test_hnf_identity_fixed():
-    h, u = hermite_normal_form(identity_matrix(3))
-    assert h == identity_matrix(3)
-    assert u == identity_matrix(3)
-
-
-def test_hnf_two_by_two_diagonal():
-    h, u = hermite_normal_form([[2, 0], [0, 2]])
-    assert h == [[2, 0], [0, 2]]
-    assert matrix_multiply(u, [[2, 0], [0, 2]]) == h
-
-
-def test_hnf_det_preserved_up_to_sign():
-    m = [[1, 2], [3, 4]]
-    h, u = hermite_normal_form(m)
-    assert abs(oracles.det_perm(h)) == abs(oracles.det_perm(m)) == 2
-    assert abs(oracles.det_perm(u)) == 1
-    assert matrix_multiply(u, m) == h
-
-
-def test_hnf_random_suite():
-    rng = random.Random(20260816)
-    for _ in range(40):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        m = random_matrix(rng, rows, cols)
-        h, u = hermite_normal_form(m)
-        assert matrix_multiply(u, m) == h
-        assert abs(oracles.det_perm(u)) == 1
-        assert_hnf_shape(h)
+def diagonal_of(d):
+    return [d[i][i] for i in range(min(len(d), len(d[0])))]
 
 
 def test_snf_fixed_diag():
@@ -155,7 +107,7 @@ MERSENNE_61 = 2**61 - 1
 def low_rank_matrix(rng, rows, cols, rank, lo=-9, hi=9):
     left = random_matrix(rng, rows, rank, lo, hi)
     right = random_matrix(rng, rank, cols, lo, hi)
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    return matrix_multiply(left, right)
 
 
 def test_rank_mod_p_matches_rational_rank():
@@ -238,7 +190,7 @@ def test_determinant_matches_snf_divisor_product():
 
 def test_integer_routines_reject_fractions():
     try:
-        hermite_normal_form([[Fraction(1, 2)]])
+        smith_normal_form([[Fraction(1, 2)]])
     except ValueError:
         pass
     else:
