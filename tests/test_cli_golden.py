@@ -1,7 +1,8 @@
 """Byte-identity pins for the command line.
 
 Every subcommand runs in json and tsv, on the fan side and with --dual, on
-the golden P(1,1,2,2,2) vertex file and on cross4, and on one --wps input;
+the golden P(1,1,2,2,2) vertex file, cross4, cube4 and P(1,1,1,6,9), and on
+one --wps input;
 the wps command runs in its three formats. Each run pins its exit code and
 the sha256 of its stdout. The error paths pin the exit code and the single
 stderr line. A change that alters one byte of output fails here, so output
@@ -31,10 +32,13 @@ COMMANDS = (
 )
 FORMATS = ("json", "tsv")
 WPS = "1,1,1,1,2"
+# fan-side vertices of P(1,1,1,6,9), as `reflexorb wps 1 1 1 6 9` writes them
+P11169 = [(-1, -1, -6, -9), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
 INPUTS = {
     "golden": format_vertex_matrix(SIMPLEX_POLAR),
     "cross4": format_vertex_matrix(CROSS4),
     "cube4": format_vertex_matrix(CUBE4),
+    "p11169": format_vertex_matrix(P11169),
     "doubled": format_vertex_matrix([tuple(2 * x for x in v) for v in SIMPLEX_POLAR]),
     "square": format_vertex_matrix([(-1, -1), (1, -1), (1, 1), (-1, 1)]),
     "flat": format_vertex_matrix([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]),
@@ -45,7 +49,7 @@ INPUTS = {
 def cases():
     """(case id, argv) for every stdout pin; `@name` stands for the path of
     the input file `name`."""
-    for name in ("golden", "cross4"):
+    for name in ("golden", "cross4", "cube4", "p11169"):
         for cmd in COMMANDS:
             for side in ("fan", "dual"):
                 for fmt in FORMATS:
@@ -140,6 +144,86 @@ DIGESTS = {
     "oracle-jacobian cross4 fan tsv": (0, "9234e728dac3555f1c9339a001887b35955b92499fbb04634ff925ac0bc28dda"),
     "oracle-jacobian cross4 dual json": (0, "cb1bb311bd81654c8713cd583af55044d6d2c2048333998f1f60bc01c44e9ddd"),
     "oracle-jacobian cross4 dual tsv": (0, "be27d0d8e7e21c1b7c75cd799bb4ec6157d036f8160f3c2c26a33ccdd1df8eaa"),
+    "info cube4 fan json": (0, "5792ea13a7c3e73de45ef7e9418c89635b62ba94809779ada86d88ba22e89aa5"),
+    "info cube4 fan tsv": (0, "c7de60612b1412df8fc3c096e1d695aa96f1957794c119293c6d39feff57d4c9"),
+    "info cube4 dual json": (0, "58c9ee58e49cb84ec29a2f29d33ce0f81ac0add98101d63fe68d097a09776bc1"),
+    "info cube4 dual tsv": (0, "0292b21491ef742870ba7b2b5a24313ca6dcccdb3bb18842aebf10b127001251"),
+    "reflexive cube4 fan json": (0, "534b968fd57086e580f07dd85e25444c92efc2cbbc4510089327516a76f468a1"),
+    "reflexive cube4 fan tsv": (0, "c9453de8710aa252264ad00e1a4b75307ea68c24c892c0863065dfaa26902c50"),
+    "reflexive cube4 dual json": (0, "ffe6b8744df7b081319feb0969e1e2d64579a4ad6a5590b53ecd8d2656500cf1"),
+    "reflexive cube4 dual tsv": (0, "38d0145e1cb827312ed80b27a4a3794e88bd6fb0542b3a26f29feec89d3c92a7"),
+    "dual cube4 fan json": (0, "39e44fc45d1b43b60eb936cbb30d3ddc162078c8cc0835133b4d6896d26bb438"),
+    "dual cube4 fan tsv": (0, "9e62842ff44cd75b6c6e9574de2010432f83cbb32e64f1a696ea8f4678762444"),
+    "dual cube4 dual json": (0, "d7b24d4ce85fb306944ebfabaf00159b34ae2b30b82b89f9c8a4dcebaa6ae450"),
+    "dual cube4 dual tsv": (0, "9e62842ff44cd75b6c6e9574de2010432f83cbb32e64f1a696ea8f4678762444"),
+    "faces cube4 fan json": (0, "0f4b01bd8641934d3fc4bdfbb5c87b96bc8800275b43348b1431e9be410a8e49"),
+    "faces cube4 fan tsv": (0, "078b32e57af245492bdefaf9e8a947a35e5b7c3b88b8797243b642dfc64b4587"),
+    "faces cube4 dual json": (0, "18644deec9e64064e45b04a24efb5069870dd4ebfbda01ed6ebe2cd60b3b5094"),
+    "faces cube4 dual tsv": (0, "6a602f1934587cadd4c2d19093012995fde465561cd3739e43978e5526c60099"),
+    "points cube4 fan json": (0, "979f9eb23dd70bae84ffe4d29f9d011558a7c12f08d6f85e9c3371b1a1ed06e3"),
+    "points cube4 fan tsv": (0, "1f34f8c8d3c14b56e73f72803d8d75d8c5b694dd36a566dbc25f8ff525a61d46"),
+    "points cube4 dual json": (0, "5aea83a4931be2b7b08fec3099ff423f60335a81c6eab27dffeee3259370d811"),
+    "points cube4 dual tsv": (0, "0051dbb547e1ede943e518089a86274ad50219d8d095ac53a03584220f80254e"),
+    "sectors-toric cube4 fan json": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sectors-toric cube4 fan tsv": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sectors-toric cube4 dual json": (0, "874ed55bd7632d1efd77d6cc7d37c22cce6c7d76d31899ee6a0adc69d5323229"),
+    "sectors-toric cube4 dual tsv": (0, "1ac15bdcfcdba5b3f311334e9161c80206fc56fc5de2342f5a871c5ec4b88631"),
+    "sectors-cy cube4 fan json": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sectors-cy cube4 fan tsv": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sectors-cy cube4 dual json": (0, "874ed55bd7632d1efd77d6cc7d37c22cce6c7d76d31899ee6a0adc69d5323229"),
+    "sectors-cy cube4 dual tsv": (0, "1ac15bdcfcdba5b3f311334e9161c80206fc56fc5de2342f5a871c5ec4b88631"),
+    "hodge cube4 fan json": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hodge cube4 fan tsv": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hodge cube4 dual json": (0, "74de74db97222c6f9e0b0bb11d08ba7a19a61214d78434ef2fecf84b64876b72"),
+    "hodge cube4 dual tsv": (0, "12b8513e6dda56aac9573b401551a20ba91dc83ddb01a5208a52961dc645b60d"),
+    "mirror cube4 fan json": (0, "d6bc5857ecf09ca8cc88e52a9b0c2ec9d936cc7855afb8ff4fbdfde8c5a3c153"),
+    "mirror cube4 fan tsv": (0, "ef95d4adfa63d7ce721f414a65fdf42866975aa8d1911d31795d4d53a1aad417"),
+    "mirror cube4 dual json": (0, "d3af3f370042bca1197c653a7a5f6724e81998d63ca95c788a61f890fe730029"),
+    "mirror cube4 dual tsv": (0, "b4fddd5e3468c8886e7dbbd0cb55b026868f3c807e4d2447bea9f581847c9926"),
+    "oracle-jacobian cube4 fan json": (0, "d16bc775f5d7c7009694ad1a7a9321e445a89cd522f9ea6c1bde796c58567455"),
+    "oracle-jacobian cube4 fan tsv": (0, "b1ef63828b41524f8379a40f1eae9e67efca4e2098053624093ee99fb48eae05"),
+    "oracle-jacobian cube4 dual json": (0, "7d69c5e2c7f023e3c1c5194580ba42c87a1e507fea5a00a277e450a32130b648"),
+    "oracle-jacobian cube4 dual tsv": (0, "bec8eb03e48058705260d96d12b61c1e9f26b75295ab00de12690d875a2be183"),
+    "info p11169 fan json": (0, "2b47247fd3f9ceca78c24cc3130c56714721ff66d5bd6f1756153feeb4eb03e5"),
+    "info p11169 fan tsv": (0, "ebb992507c4fa896a2411d36d4dff1e3522c9f3dc315b17a0d89332a42373d41"),
+    "info p11169 dual json": (0, "2bac0c8756ff78c64f4a7e2b6e9bf9233c0428c528c09fc3cf5b139c9c0de2d7"),
+    "info p11169 dual tsv": (0, "9f3e90d1979e22247764def835b0240f0b79e1cd62ad35007abcf133ceb8ef37"),
+    "reflexive p11169 fan json": (0, "f64c1e26f204ceb3c5f800b18f5f70efc03b04288b3f1875669f3a79f8a430a4"),
+    "reflexive p11169 fan tsv": (0, "58b8469ecf1c632d605900c1a62b131ec22dd2880b519822f1a96d39917f9133"),
+    "reflexive p11169 dual json": (0, "f64c1e26f204ceb3c5f800b18f5f70efc03b04288b3f1875669f3a79f8a430a4"),
+    "reflexive p11169 dual tsv": (0, "58b8469ecf1c632d605900c1a62b131ec22dd2880b519822f1a96d39917f9133"),
+    "dual p11169 fan json": (0, "b0f153353231bad68c97a8dd1c911af31dc0babf960ee04760740c1bcaa745a9"),
+    "dual p11169 fan tsv": (0, "7536b00708cefcd7e380815a28abb301b739c0305f2b106ed5f4ff161bd99bef"),
+    "dual p11169 dual json": (0, "b0f153353231bad68c97a8dd1c911af31dc0babf960ee04760740c1bcaa745a9"),
+    "dual p11169 dual tsv": (0, "7536b00708cefcd7e380815a28abb301b739c0305f2b106ed5f4ff161bd99bef"),
+    "faces p11169 fan json": (0, "da0e951eaa352b6dfbc1cc9b3775d020f7543fad7b726171b53cbb9b72b7566f"),
+    "faces p11169 fan tsv": (0, "32abf3d22ce068b0085ad81e9c373e732ee9739eabcea0e32e7d0fe6221a87a7"),
+    "faces p11169 dual json": (0, "da0e951eaa352b6dfbc1cc9b3775d020f7543fad7b726171b53cbb9b72b7566f"),
+    "faces p11169 dual tsv": (0, "32abf3d22ce068b0085ad81e9c373e732ee9739eabcea0e32e7d0fe6221a87a7"),
+    "points p11169 fan json": (0, "a51e0c05451a88b05d2561254066d8b152f91721c5f494823f035d134d0ca18e"),
+    "points p11169 fan tsv": (0, "67def956dffc83bc81347fd81f02308c976d453d9fd6b371fc38e76d49611af2"),
+    "points p11169 dual json": (0, "a51e0c05451a88b05d2561254066d8b152f91721c5f494823f035d134d0ca18e"),
+    "points p11169 dual tsv": (0, "67def956dffc83bc81347fd81f02308c976d453d9fd6b371fc38e76d49611af2"),
+    "sectors-toric p11169 fan json": (0, "f314e4684a5b1c35964fe7de27c782cdec959f637471b76032e3cfa93fc9098f"),
+    "sectors-toric p11169 fan tsv": (0, "6c3c4092e1be384514279ad041c43d8a24084dc5fb99711744244382f109e277"),
+    "sectors-toric p11169 dual json": (0, "950960d173af08458dc6373d005f13a5e840e951daa5801c9532edab627e7230"),
+    "sectors-toric p11169 dual tsv": (0, "bc529040e1c905c77a1470514a02388f138689cab68e205cfe2ad9417b3fa8f1"),
+    "sectors-cy p11169 fan json": (0, "a07f036614e2c4b538e71b8d8c0c0be2fcbe6b6011e68d06fb3f9e7bfd9e5927"),
+    "sectors-cy p11169 fan tsv": (0, "3ea3b648911ffbcbaafc228f82cccdf419c876a36c106b9d2598611fafcd7495"),
+    "sectors-cy p11169 dual json": (0, "1148acfe5982ada34d440a49404b0da3bfce69d5330e1f8b95b287912d4c95f3"),
+    "sectors-cy p11169 dual tsv": (0, "006263ced070b81c3b423ffce9f56cafcdf0ad2a9bad2e40a89c493e0295a3b8"),
+    "hodge p11169 fan json": (0, "2e0aa84f710808ebb11d167f6ba73bc70f5de95f1e326e0a37fc05155c2fc496"),
+    "hodge p11169 fan tsv": (0, "53de8dfbdeab0cac0ceab83075db328a9dab31bc849d8a42240071252302769d"),
+    "hodge p11169 dual json": (0, "e8206fb759e58166af382159c52e37435ce3de9195fc32b451267069cf00141f"),
+    "hodge p11169 dual tsv": (0, "704b099fd8d1834ff2ebe07ac87828ecba6d6af66dd9258217a8dc9e4cb0e466"),
+    "mirror p11169 fan json": (0, "b00d973e17789f71b31d0a77427f0bfad88956b7fdda2c2449a037e6028955c0"),
+    "mirror p11169 fan tsv": (0, "270579d5a74a66c0223d5aff3a036544c65e35298d6c777ee28225a73e4576c4"),
+    "mirror p11169 dual json": (0, "0c3fb93de28b342eb15cfc32525f718697536b50377593606f67ec10f0022bac"),
+    "mirror p11169 dual tsv": (0, "8e9e3cb197f956a61f7997728eb82772c9b48050775cbf4ae71f97e807045302"),
+    "oracle-jacobian p11169 fan json": (0, "12bb34392a62d504f81d2bf2912446b7885ece248b6c48904baf486766ef704b"),
+    "oracle-jacobian p11169 fan tsv": (0, "6a935a23f5db956f8f1ede1a3bb19bdb3ef9942f5e876fa07f9dd5df5dbe4047"),
+    "oracle-jacobian p11169 dual json": (0, "ef4b63ae06a2e68bea856b075189fc55f4ebbc02748f7d84b5c1d2ef9c5bee84"),
+    "oracle-jacobian p11169 dual tsv": (0, "15933d081214220ffffa2ffb96a2c171e006d5237d4ea255b560f157c0670307"),
     "info wps json": (0, "34a3fdb3990242690198c6245a17be1d81ce37a77d9b63aec50bbe080450dbac"),
     "info wps tsv": (0, "e43533e5219d2b790a629b93fb4d65702a89304ef3ef68a434f8d39081a4b007"),
     "reflexive wps json": (0, "3caf541aff1f8a9bfa18d14a6db5b912817e940d7b154fc734c88d1bdaa181cb"),
