@@ -5,7 +5,8 @@ as the fan-side polytope by default, `--dual` to read the dual side.
 Output is JSON with sorted keys (default) or TSV; exact rationals are
 rendered as "p/q" strings, integers stay integers. Exit codes: 0 success,
 2 not reflexive (or unsupported weights), 3 fan not simplicial, 4 parse
-or usage error, 5 dimension hypothesis violated without --force.
+or usage error, 5 dimension hypothesis violated without --force, 6 an
+internal audit failed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import (
+    AuditError,
     HypothesisError,
     NotFullDimensionalError,
     NotReflexiveError,
@@ -42,6 +44,7 @@ EXIT_NOT_REFLEXIVE = 2
 EXIT_NOT_SIMPLICIAL = 3
 EXIT_PARSE = 4
 EXIT_HYPOTHESIS = 5
+EXIT_AUDIT = 6
 
 
 class CliError(Exception):
@@ -124,7 +127,7 @@ def _load_polytope(args) -> LatticePolytope:
 def _pair_from(poly: LatticePolytope, dual: bool) -> ReflexivePair:
     if dual:
         return ReflexivePair.from_delta(poly)
-    return ReflexivePair.from_polar(poly)
+    return ReflexivePair(poly)
 
 
 def _ray_count(poly: LatticePolytope, dual: bool) -> int | None:
@@ -208,7 +211,7 @@ def _cmd_info(pair, args):
 def _cmd_reflexive(poly, args):
     if not poly.is_reflexive():
         return {"reflexive": False}, EXIT_NOT_REFLEXIVE
-    _pair_from(poly, args.dual)  # checks that polar duality closes
+    _pair_from(poly, args.dual)  # audits the face lattice the pairing reads
     return {"reflexive": True}, EXIT_OK
 
 
@@ -300,7 +303,7 @@ def _cmd_oracle_jacobian(pair, args):
 
 @_command("wps", "emit the fan-side polytope of weighted projective space", weights=True)
 def _cmd_wps(pair, args):
-    # building the pair checked that polar duality closes
+    # building the pair audited the face lattice
     poly = pair.delta_polar
     if args.format == "tsv" or args.format == "vertices":
         return format_vertex_matrix(poly.vertices), EXIT_OK
@@ -402,6 +405,7 @@ _EXIT_CODES = {
     NotReflexiveError: EXIT_NOT_REFLEXIVE,
     NotSimplicialError: EXIT_NOT_SIMPLICIAL,
     HypothesisError: EXIT_HYPOTHESIS,
+    AuditError: EXIT_AUDIT,
 }
 
 

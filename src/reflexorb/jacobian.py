@@ -49,21 +49,17 @@ def lifted_ray_subset(pair: ReflexivePair) -> tuple[Vector, ...]:
             lifted.append(list(ray) + [1])
             if len(chosen) == pair.n + 1:
                 return tuple(chosen)
-    raise AssertionError("lifted rays failed to span")
+    raise AuditError("lifted rays failed to span")
 
 
 def facet_interior_pairs(pair: ReflexivePair) -> tuple[tuple[Vector, Vector], ...]:
     """(ray, interior point of its dual facet) pairs, in ray order then
     lexicographic point order. Labels the facet interior rows of
     assemble_matrix."""
-    facet_of = {}
-    for face in pair.delta.faces(pair.n - 1):
-        (idx,) = face.active_facets
-        facet_of[pair.delta.facets[idx].normal] = face
     out = []
-    for ray in pair.delta_polar.vertices:
-        face = facet_of[ray]
-        for point in face.interior_lattice_points():
+    for vertex in pair.delta_polar.faces(0):
+        (ray,) = vertex.vertices()
+        for point in pair.dual_face(vertex).interior_lattice_points():
             out.append((ray, point))
     return tuple(out)
 

@@ -12,6 +12,7 @@ a lattice polytope).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -33,14 +34,6 @@ def _primitive(vec) -> Vector:
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)
-
-
-def _affine_rank(points) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    diffs = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    return rational_rank(diffs)
 
 
 @dataclass(frozen=True)
@@ -89,6 +82,7 @@ class LatticePolytope:
         self.facets: tuple[FacetInequality, ...] = tuple(facets)
         self.n: int = len(self.vertices[0]) if self.vertices else 0
         self._faces_by_dim: dict[int, tuple[Face, ...]] | None = None
+        self._face_by_ids: dict[tuple[int, ...], Face] = {}
         # k -> (points of the k-fold dilate, the same points by facet mask)
         self._points_cache: dict[int, tuple[tuple[Vector, ...], dict[int, tuple[Vector, ...]]]] = {}
 
@@ -103,13 +97,8 @@ class LatticePolytope:
         n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise ValueError("points of mixed dimension")
-        if _affine_rank(pts) < n:
-            raise NotFullDimensionalError(
-                f"points span an affine subspace of dimension {_affine_rank(pts)} < {n}"
-            )
-        verts, ineqs = _convex_hull(pts, n)
-        facets = tuple(FacetInequality(normal, offset) for normal, offset in sorted(ineqs))
-        return cls(verts, facets)
+        verts, ineqs = _convex_hull(pts, n)  # ineqs come sorted
+        return cls(verts, [FacetInequality(normal, offset) for normal, offset in ineqs])
 
     def __eq__(self, other):
         return (
@@ -151,12 +140,15 @@ class LatticePolytope:
         return all(f.offset == 1 for f in self.facets)
 
     def polar_dual(self) -> "LatticePolytope":
-        """Polar dual polytope; vertices are the facet normals."""
+        """Polar dual polytope from the facet data, without a hull: vertex i
+        is the normal of facet i, and facet j is <y, vertex j> >= -1."""
         if not self.is_reflexive():
             raise NotReflexiveError(
                 "polar dual is a lattice polytope only for reflexive input"
             )
-        return LatticePolytope.from_vertices([f.normal for f in self.facets])
+        return LatticePolytope(
+            [f.normal for f in self.facets], [FacetInequality(v, 1) for v in self.vertices]
+        )
 
     # -- face lattice ----------------------------------------------------------
 
@@ -167,7 +159,7 @@ class LatticePolytope:
         a dict mapping dimension to face tuples.
         """
         if self._faces_by_dim is None:
-            self._faces_by_dim = self._build_face_lattice()
+            self._build_face_lattice()
         if dim is None:
             return self._faces_by_dim
         return self._faces_by_dim.get(dim, ())
@@ -179,46 +171,57 @@ class LatticePolytope:
                 out.extend(self.faces(d))
         return out
 
-    def face_by_vertex_ids(self, vertex_ids) -> Face:
-        key = tuple(sorted(vertex_ids))
-        for f in self.faces(_affine_rank([self.vertices[i] for i in key])):
-            if f.vertex_ids == key:
-                return f
-        raise KeyError(f"no face with vertex ids {key}")
-
     def _build_face_lattice(self):
+        """Fill `_faces_by_dim` and `_face_by_ids` from facet incidence.
+
+        A face is a nonempty intersection of facets, held as a vertex
+        bitmask. Its dimension is 1 + the largest dimension of its
+        intersections with the facets not containing it (the empty face has
+        dimension -1). The pass raises AuditError unless every vertex meets
+        every facet inequality, the polytope has dimension n, and the lattice
+        is Eulerian: a face G two dimensions below a face H (G may be empty)
+        lies in exactly two facets of H, which fails if a facet is missing.
+        """
         nverts = len(self.vertices)
         incidence = []
         for f in self.facets:
-            incidence.append(
-                frozenset(
-                    i for i, v in enumerate(self.vertices) if f.value(v) == 0
-                )
-            )
-        full = frozenset(range(nverts))
-        seen = {full}
+            mask = 0
+            for i, v in enumerate(self.vertices):
+                value = f.value(v)
+                if value < 0:
+                    raise AuditError(f"vertex {v} violates the facet with normal {f.normal}")
+                if value == 0:
+                    mask |= 1 << i
+            incidence.append(mask)
+        full = (1 << nverts) - 1
+        below = {}  # face -> its intersections with the facets not containing it
         queue = [full]
         while queue:
-            cur = queue.pop()
-            for fs in incidence:
-                g = cur & fs
-                if g and g not in seen:
-                    seen.add(g)
-                    queue.append(g)
+            vs = queue.pop()
+            if vs not in below:
+                below[vs] = {vs & fs for fs in incidence} - {vs}
+                queue.extend(below[vs])
+        dim = {0: -1}
         by_dim: dict[int, list[Face]] = {}
-        for vs in seen:
-            ids = tuple(sorted(vs))
-            pts = [self.vertices[i] for i in ids]
-            d = _affine_rank(pts)
-            active = tuple(
-                i for i, fs in enumerate(incidence) if vs <= fs
-            )
-            face = Face(d, ids, active, self)
-            by_dim.setdefault(d, []).append(face)
-        return {
+        for vs in sorted(below.keys() - {0}, key=int.bit_count):
+            if not below[vs]:
+                raise AuditError("a face lies on every facet")
+            d = dim[vs] = 1 + max(dim[g] for g in below[vs])
+            tops = [g for g in below[vs] if dim[g] == d - 1]
+            for r in {r for g in (vs, *tops) for r in below[g] if dim[r] == d - 2}:
+                count = sum(r & g == r for g in tops)
+                if count != 2:
+                    raise AuditError(f"not Eulerian: a {d}-face has a ridge in {count} facets")
+            ids = tuple(i for i in range(nverts) if vs >> i & 1)
+            active = tuple(j for j, fs in enumerate(incidence) if vs & fs == vs)
+            by_dim.setdefault(d, []).append(Face(d, ids, active, self))
+        if dim[full] != self.n:
+            raise AuditError(f"facets bound a polytope of dimension {dim[full]}, not {self.n}")
+        self._faces_by_dim = {
             d: tuple(sorted(faces, key=lambda f: f.vertex_ids))
             for d, faces in sorted(by_dim.items())
         }
+        self._face_by_ids = {f.vertex_ids: f for faces in by_dim.values() for f in faces}
 
 
 # -- lattice point enumeration ------------------------------------------------------
@@ -394,14 +397,18 @@ def _convex_hull(pts, n):
     Returns (vertices, inequalities); inequalities are (normal, offset) pairs
     in the <x, normal> >= -offset convention with primitive integer normals.
     """
-    # affinely independent seed simplex
+    # affinely independent seed simplex: each point that raises the rank
     seed = [0]
     for i in range(1, len(pts)):
-        if _affine_rank([pts[j] for j in seed + [i]]) > len(seed) - 1:
+        diffs = [[a - b for a, b in zip(pts[j], pts[0])] for j in seed[1:] + [i]]
+        if rational_rank(diffs) == len(seed):
             seed.append(i)
             if len(seed) == n + 1:
                 break
-    assert len(seed) == n + 1
+    if len(seed) <= n:
+        raise NotFullDimensionalError(
+            f"points span an affine subspace of dimension {len(seed) - 1} < {n}"
+        )
     center = tuple(
         Fraction(sum(pts[i][j] for i in seed), n + 1) for j in range(n)
     )
@@ -444,10 +451,10 @@ def _convex_hull(pts, n):
                 new_key = ridge | {i}
                 simplices[new_key] = oriented(sorted(new_key))
 
-    # verify every input point lies beneath every facet
-    for key, (normal, rhs) in simplices.items():
+    for normal, rhs in simplices.values():
         for p in pts:
-            assert sum(a * b for a, b in zip(normal, p)) <= rhs
+            if sum(a * b for a, b in zip(normal, p)) > rhs:
+                raise AuditError("convex hull leaves an input point beyond a facet")
     inequalities = sorted(
         {(tuple(-x for x in normal), rhs) for normal, rhs in simplices.values()}
     )
@@ -471,7 +478,9 @@ class ReflexivePair:
 
     delta_polar lives in the fan lattice (its vertices are the rays of the
     normal fan); delta is the polar, whose lattice points index anticanonical
-    monomials.
+    monomials. Vertex i of delta is the normal of facet i of delta_polar and
+    the other way round, so the face paired with F is the face of the other
+    polytope whose vertex ids are F's active facets.
     """
 
     def __init__(self, delta_polar: LatticePolytope):
@@ -480,14 +489,8 @@ class ReflexivePair:
         self.delta_polar = delta_polar
         self.delta = delta_polar.polar_dual()
         self.n = delta_polar.n
-        check = self.delta.polar_dual()
-        assert check.vertices == delta_polar.vertices, "polar duality failed to close"
-        self._dual_cache: dict[tuple[int, ...], Face] = {}
-        self._dual_cache_rev: dict[tuple[int, ...], Face] = {}
-
-    @classmethod
-    def from_polar(cls, delta_polar: LatticePolytope) -> "ReflexivePair":
-        return cls(delta_polar)
+        # builds and audits the face lattice the pairing reads
+        delta_polar.faces()
 
     @classmethod
     def from_delta(cls, delta: LatticePolytope) -> "ReflexivePair":
@@ -496,31 +499,27 @@ class ReflexivePair:
         return cls(delta.polar_dual())
 
     def swapped(self) -> "ReflexivePair":
-        """The pair with the two polytopes' roles exchanged."""
-        return ReflexivePair(self.delta)
+        """The pair with the two polytopes' roles exchanged. It shares both
+        polytope objects, with their cached points and faces."""
+        pair = copy.copy(self)
+        pair.delta_polar, pair.delta = self.delta, self.delta_polar
+        return pair
 
     def dual_face(self, face: Face) -> Face:
         """The face of delta paired with a proper face of delta_polar."""
-        return self._pair(face, self.delta_polar, self.delta, self._dual_cache)
+        return self._pair(face, self.delta)
 
     def dual_face_of_delta(self, face: Face) -> Face:
         """The face of delta_polar paired with a proper face of delta."""
-        return self._pair(face, self.delta, self.delta_polar, self._dual_cache_rev)
+        return self._pair(face, self.delta_polar)
 
-    def _pair(self, face, src, dst, cache):
+    def _pair(self, face, dst):
         if face.dim >= self.n:
             raise ValueError("only proper faces have duals")
-        if face.vertex_ids in cache:
-            return cache[face.vertex_ids]
-        src_verts = face.vertices()
-        ids = tuple(
-            i
-            for i, w in enumerate(dst.vertices)
-            if all(sum(a * b for a, b in zip(w, v)) == -1 for v in src_verts)
-        )
-        dual = dst.face_by_vertex_ids(ids)
-        assert face.dim + dual.dim == self.n - 1, "face pairing dimension mismatch"
-        cache[face.vertex_ids] = dual
+        dst.faces()
+        dual = dst._face_by_ids[face.active_facets]
+        if face.dim + dual.dim != self.n - 1:
+            raise AuditError("face pairing dimension mismatch")
         return dual
 
 

@@ -1,6 +1,7 @@
 """Determinant witness that the Euler rows of the Jacobian rank matrix are
-independent, and the two row blocks of that matrix on their own. Used only
-by the tests; the oracle itself certifies its rank."""
+independent, the two row blocks of that matrix on their own, and a face
+lookup by vertex ids. Used only by the tests; the oracle itself certifies
+its rank."""
 
 from reflexorb.jacobian import assemble_matrix, facet_interior_pairs, lifted_ray_subset
 from reflexorb.linalg import rational_rank
@@ -79,3 +80,13 @@ def verify_matrix_p_nonsingular(pair, coeffs=None):
             scale *= coeffs[m]
         assert integer_determinant(p) == scale * det_e
     return True
+
+
+def face_with_vertex_ids(polytope, vertex_ids):
+    """The face of polytope whose vertex ids are vertex_ids, in any order."""
+    key = tuple(sorted(vertex_ids))
+    for faces in polytope.faces().values():
+        for face in faces:
+            if face.vertex_ids == key:
+                return face
+    raise KeyError(f"no face with vertex ids {key}")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import reflexorb
+from reflexorb import polytope
 from reflexorb.cli import main
 from reflexorb.polytope import (
     LatticePolytope,
@@ -319,6 +320,20 @@ def test_exit_code_not_simplicial(cube_file, capsys):
     assert code == 3
     code, _, err = run_cli(["sectors-toric", cube_file], capsys)
     assert code == 3
+
+
+def test_exit_code_audit(tmp_path, capsys, monkeypatch):
+    real = polytope._convex_hull
+
+    def hull_missing_a_facet(pts, n):
+        vertices, inequalities = real(pts, n)
+        return vertices, inequalities[1:]
+
+    monkeypatch.setattr(polytope, "_convex_hull", hull_missing_a_facet)
+    code, out, err = run_cli(["hodge", write_poly(tmp_path, "cross.txt", CROSS4)], capsys)
+    assert (code, out) == (6, "")
+    assert err.startswith("reflexorb: not Eulerian")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_exit_code_hypothesis(square_file, capsys):

@@ -2,21 +2,22 @@
 
 Every subcommand runs in json and tsv, on the fan side and with --dual, on
 the golden P(1,1,2,2,2) vertex file, cross4, cube4 and P(1,1,1,6,9), and on
-one --wps input;
-the wps command runs in its three formats. Each run pins its exit code and
-the sha256 of its stdout. The error paths pin the exit code and the single
-stderr line. A change that alters one byte of output fails here, so output
-changes are made on purpose, with new digests.
+one --wps input; the wps command runs in its three formats. Each run pins
+its exit code and the sha256 of its stdout, and runs exactly one convex
+hull. The error paths pin the exit code and the single stderr line. A
+change that alters one byte of output fails here, so output changes are
+made on purpose, with new digests.
 """
 
 import hashlib
 
 import pytest
 
+from reflexorb import polytope
 from reflexorb.cli import main
 from reflexorb.polytope import format_vertex_matrix
 
-from test_polytope import CROSS4, CUBE4, SIMPLEX_POLAR
+from test_polytope import CROSS4, CUBE4, P11169, SIMPLEX_POLAR
 
 COMMANDS = (
     "info",
@@ -32,8 +33,6 @@ COMMANDS = (
 )
 FORMATS = ("json", "tsv")
 WPS = "1,1,1,1,2"
-# fan-side vertices of P(1,1,1,6,9), as `reflexorb wps 1 1 1 6 9` writes them
-P11169 = [(-1, -1, -6, -9), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
 INPUTS = {
     "golden": format_vertex_matrix(SIMPLEX_POLAR),
     "cross4": format_vertex_matrix(CROSS4),
@@ -327,9 +326,13 @@ def test_every_stdout_case_is_pinned():
 
 
 @pytest.mark.parametrize("case,argv", list(cases()), ids=[case for case, _ in cases()])
-def test_stdout_bytes(case, argv, input_dir, capsys):
+def test_stdout_bytes(case, argv, input_dir, capsys, monkeypatch):
+    hulls = []
+    real = polytope._convex_hull
+    monkeypatch.setattr(polytope, "_convex_hull", lambda pts, n: hulls.append(n) or real(pts, n))
     code, out, _ = run(argv, input_dir, capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == DIGESTS[case]
+    assert len(hulls) == 1  # the input's; the dual and the pairing come from its facets
 
 
 @pytest.mark.parametrize("case", sorted(ERRORS))

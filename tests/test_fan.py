@@ -18,6 +18,7 @@ from reflexorb.fan import (
 )
 from reflexorb.polytope import LatticePolytope, ReflexivePair
 
+from pairing import face_with_vertex_ids
 from test_polytope import CROSS4, CUBE4, SIMPLEX_POLAR
 
 
@@ -44,13 +45,13 @@ def is_gorenstein(fan):
 
 @pytest.fixture(scope="module")
 def simplex_fan():
-    pair = ReflexivePair.from_polar(LatticePolytope.from_vertices(SIMPLEX_POLAR))
+    pair = ReflexivePair(LatticePolytope.from_vertices(SIMPLEX_POLAR))
     return pair, normal_fan(pair)
 
 
 @pytest.fixture(scope="module")
 def cross_fan():
-    pair = ReflexivePair.from_polar(LatticePolytope.from_vertices(CROSS4))
+    pair = ReflexivePair(LatticePolytope.from_vertices(CROSS4))
     return pair, normal_fan(pair)
 
 
@@ -101,7 +102,7 @@ def test_cross_fan_shape(cross_fan):
 
 
 def test_cube_fan_not_simplicial():
-    pair = ReflexivePair.from_polar(LatticePolytope.from_vertices(CUBE4))
+    pair = ReflexivePair(LatticePolytope.from_vertices(CUBE4))
     fan = normal_fan(pair)
     assert not fan.is_simplicial()
     with pytest.raises(NotSimplicialError):
@@ -235,7 +236,7 @@ def test_smooth_fan_has_no_sectors(cross_fan):
 def test_sector_pairing_with_dual_face(simplex_fan):
     pair, fan = simplex_fan
     for sector in toric_twisted_sectors(fan):
-        face = pair.delta_polar.face_by_vertex_ids(sector.cone.face_ids)
+        face = face_with_vertex_ids(pair.delta_polar, sector.cone.face_ids)
         dual = pair.dual_face(face)
         for w in dual.vertices():
             val = sum(a * b for a, b in zip(w, sector.element.point))
@@ -257,7 +258,7 @@ def test_sector_determinism(simplex_fan, monkeypatch):
 
 @pytest.mark.parametrize("verts", [SIMPLEX_POLAR, CROSS4], ids=["simplex", "cross4"])
 def test_one_smith_form_per_cone(verts, monkeypatch):
-    fan = normal_fan(ReflexivePair.from_polar(LatticePolytope.from_vertices(verts)))
+    fan = normal_fan(ReflexivePair(LatticePolytope.from_vertices(verts)))
     calls = []
     snf = fan_module.smith_normal_form
 

@@ -16,6 +16,7 @@ from reflexorb.hodge import (
 )
 from reflexorb.polytope import LatticePolytope, ReflexivePair
 
+from pairing import face_with_vertex_ids
 from test_polytope import CROSS4, CUBE4, SIMPLEX_POLAR
 
 QUINTIC_POLAR = [(-1, -1, -1, -1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
@@ -32,7 +33,7 @@ FIVEDIM_POLAR = [
 
 
 def make_pair(verts):
-    return ReflexivePair.from_polar(LatticePolytope.from_vertices(verts))
+    return ReflexivePair(LatticePolytope.from_vertices(verts))
 
 
 def sector_h_top(pair, sector):
@@ -42,7 +43,7 @@ def sector_h_top(pair, sector):
     CySector.h_top."""
     if sector.face_dim != 1:
         return 0
-    face = pair.delta_polar.face_by_vertex_ids(sector.face_ids)
+    face = face_with_vertex_ids(pair.delta_polar, sector.face_ids)
     return len(pair.dual_face(face).interior_lattice_points())
 
 

@@ -4,14 +4,17 @@ from itertools import product
 import pytest
 
 import oracles
+from pairing import face_with_vertex_ids
 from reflexorb.errors import (
     AuditError,
     NotFullDimensionalError,
     NotReflexiveError,
     VertexFileError,
 )
-from reflexorb.hodge import hodge_report
+from reflexorb import polytope
+from reflexorb.hodge import hodge_report, mirror_check
 from reflexorb.polytope import (
+    FacetInequality,
     LatticePolytope,
     ReflexivePair,
     _audit_inverse,
@@ -36,17 +39,20 @@ SIMPLEX_DELTA = [
 ]
 CUBE4 = [p for p in product((-1, 1), repeat=4)]
 CROSS4 = [tuple(s if i == j else 0 for j in range(4)) for i in range(4) for s in (1, -1)]
+CROSS6 = [tuple(s if i == j else 0 for j in range(6)) for i in range(6) for s in (1, -1)]
+# fan-side vertices of P(1,1,1,6,9), as `reflexorb wps 1 1 1 6 9` writes them
+P11169 = [(-1, -1, -6, -9), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
 
 
 @pytest.fixture(scope="module")
 def simplex_pair():
-    return ReflexivePair.from_polar(LatticePolytope.from_vertices(SIMPLEX_POLAR))
+    return ReflexivePair(LatticePolytope.from_vertices(SIMPLEX_POLAR))
 
 
 @pytest.fixture(scope="module")
 def cube_pair():
     # cross-polytope on the fan side, cube on the monomial side
-    return ReflexivePair.from_polar(LatticePolytope.from_vertices(CROSS4))
+    return ReflexivePair(LatticePolytope.from_vertices(CROSS4))
 
 
 def test_square_hull():
@@ -167,7 +173,7 @@ def test_face_interior_points_on_simplex_polar(simplex_pair):
     polar = simplex_pair.delta_polar
     v1 = polar.vertices.index((-1, -2, -2, -2))
     v2 = polar.vertices.index((1, 0, 0, 0))
-    edge = polar.face_by_vertex_ids((v1, v2))
+    edge = face_with_vertex_ids(polar, (v1, v2))
     assert edge.dim == 1
     assert edge.interior_lattice_points() == ((0, -1, -1, -1),)
     # no other proper face of the polar simplex has interior points
@@ -191,7 +197,7 @@ def test_dual_face_of_edge_has_genus_count(simplex_pair):
     polar = pair.delta_polar
     v1 = polar.vertices.index((-1, -2, -2, -2))
     v2 = polar.vertices.index((1, 0, 0, 0))
-    edge = polar.face_by_vertex_ids((v1, v2))
+    edge = face_with_vertex_ids(polar, (v1, v2))
     dual = pair.dual_face(edge)
     assert dual.dim == 2
     assert len(dual.interior_lattice_points()) == 3
@@ -284,8 +290,128 @@ def test_vertex_matrix_errors_carry_line_numbers():
 
 def test_pair_role_swap(simplex_pair):
     sw = simplex_pair.swapped()
-    assert sw.delta_polar == simplex_pair.delta
-    assert sw.delta == simplex_pair.delta_polar
+    assert sw.delta_polar is simplex_pair.delta
+    assert sw.delta is simplex_pair.delta_polar
+    assert sw.swapped().delta_polar is simplex_pair.delta_polar
+
+
+# -- polar duality and the face pairing from facet data -------------------------
+
+OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+CUBE3 = [p for p in product((-1, 1), repeat=3)]
+PAIR_INPUTS = {
+    "simplex": SIMPLEX_POLAR,
+    "cross4": CROSS4,
+    "cube4": CUBE4,
+    "p11169": P11169,
+    "cross6": CROSS6,
+    "octahedron": OCTAHEDRON,
+    "cube3": CUBE3,
+    "p1^7": [*CROSS6[::2], (-1,) * 6],
+    "p1,1,12,28,42": [*CROSS4[::2], (-1, -12, -28, -42)],
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PAIR_INPUTS))
+def any_pair(request):
+    return ReflexivePair(LatticePolytope.from_vertices(PAIR_INPUTS[request.param]))
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _affine_rank(points):
+    """Rank of the differences from the first point, by integer row
+    reduction: each pivot row leaves the list and clears its column."""
+    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    rank = 0
+    for col in range(len(points[0])):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [[pivot[col] * a - r[col] * b for a, b in zip(r, pivot)] for r in rows]
+        rank += 1
+    return rank
+
+
+def test_polar_dual_equals_the_hull_of_the_normals():
+    for verts in (SIMPLEX_POLAR, SIMPLEX_DELTA, CROSS4, CUBE4, P11169, CROSS6):
+        p = LatticePolytope.from_vertices(verts)
+        dual = p.polar_dual()
+        hull = LatticePolytope.from_vertices([f.normal for f in p.facets])
+        assert (dual.vertices, dual.facets) == (hull.vertices, hull.facets)
+
+
+def test_pairing_matches_a_vertex_scan_on_both_sides(any_pair):
+    pair = any_pair
+    sides = (
+        (pair.delta_polar, pair.delta, pair.dual_face),
+        (pair.delta, pair.delta_polar, pair.dual_face_of_delta),
+    )
+    for src, dst, dual_of in sides:
+        for face in src.proper_faces():
+            dual = dual_of(face)
+            scan = tuple(
+                j
+                for j, w in enumerate(dst.vertices)
+                if all(_dot(w, v) == -1 for v in face.vertices())
+            )
+            assert dual.vertex_ids == scan
+            assert face.dim == _affine_rank(face.vertices())
+            assert face.dim + dual.dim == pair.n - 1
+        (whole,) = src.faces(src.n)
+        assert whole.dim == _affine_rank(whole.vertices()) == src.n
+
+
+def test_pair_construction_mirror_and_swap_run_no_hull(monkeypatch):
+    inputs = [LatticePolytope.from_vertices(v) for v in (SIMPLEX_POLAR, CROSS4, CUBE4, P11169)]
+    calls = []
+    real = polytope._convex_hull
+    monkeypatch.setattr(polytope, "_convex_hull", lambda pts, n: calls.append(n) or real(pts, n))
+    for poly in inputs:
+        pair = ReflexivePair(poly)
+        back = ReflexivePair.from_delta(pair.delta)
+        mirror_check(pair)
+        mirror_check(back.swapped())
+    assert calls == []
+
+
+def _without_facet(verts, normal):
+    p = LatticePolytope.from_vertices(verts)
+    kept = [f for f in p.facets if f.normal != normal]
+    assert len(kept) == len(p.facets) - 1
+    return LatticePolytope(p.vertices, kept)
+
+
+def test_face_lattice_audit_rejects_tampered_facets():
+    octahedron = _without_facet(OCTAHEDRON, (-1, -1, -1))
+    # every remaining inequality holds and is tight on a face
+    assert all(f.value(v) >= 0 for f in octahedron.facets for v in octahedron.vertices)
+    with pytest.raises(AuditError, match="Eulerian"):
+        octahedron.faces()
+    with pytest.raises(AuditError):
+        ReflexivePair(_without_facet(OCTAHEDRON, (-1, -1, -1)))
+    with pytest.raises(AuditError):
+        _without_facet(CUBE3, (0, 0, -1)).faces()
+    cube = LatticePolytope.from_vertices(CUBE3)
+    # x1 + x2 + x3 <= 2 cuts off the vertex (1, 1, 1) alone
+    cut = LatticePolytope(cube.vertices, cube.facets + (FacetInequality((-1, -1, -1), 2),))
+    with pytest.raises(AuditError, match="violates"):
+        cut.faces()
+    # the two vertical sides of a square bound a lattice that is Eulerian
+    # but one dimension short
+    square = LatticePolytope.from_vertices([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    sides = LatticePolytope(square.vertices, [f for f in square.facets if f.normal[1] == 0])
+    with pytest.raises(AuditError, match="dimension 1, not 2"):
+        sides.faces()
+    # facets that all pass through one vertex
+    corner = LatticePolytope(
+        [(0, 0), (1, 0), (0, 1)], [FacetInequality((1, 0), 0), FacetInequality((0, 1), 0)]
+    )
+    with pytest.raises(AuditError, match="every facet"):
+        corner.faces()
 
 
 # -- enumeration in a reduced basis ---------------------------------------------
@@ -398,7 +524,7 @@ def test_sheared_golden_hodge_numbers():
         return tuple(x)
 
     def numbers(verts):
-        rep = hodge_report(ReflexivePair.from_polar(LatticePolytope.from_vertices(verts)))
+        rep = hodge_report(ReflexivePair(LatticePolytope.from_vertices(verts)))
         return (rep.h11_untwisted, rep.h11_orb, rep.hn21_untwisted, rep.hn21_orb)
 
     assert numbers([shear(v) for v in SIMPLEX_POLAR]) == numbers(SIMPLEX_POLAR) == (1, 2, 83, 86)
