@@ -2,7 +2,8 @@
 
 Every subcommand runs in json and tsv, on the fan side and with --dual, on
 the golden P(1,1,2,2,2) vertex file, cross4, cube4 and P(1,1,1,6,9), and on
-one --wps input; the wps command runs in its three formats. Each run pins
+one --wps input; the wps command runs in its three formats, and
+sectors-toric --dual on P(1,1,12,28,42) in json and tsv. Each run pins
 its exit code and the sha256 of its stdout, and runs exactly one convex
 hull. The error paths pin the exit code and the single stderr line. A
 change that alters one byte of output fails here, so output changes are
@@ -17,7 +18,7 @@ from reflexorb import polytope
 from reflexorb.cli import main
 from reflexorb.polytope import format_vertex_matrix
 
-from test_polytope import CROSS4, CUBE4, P11169, SIMPLEX_POLAR
+from test_polytope import CROSS4, CUBE4, P11169, PAIR_INPUTS, SIMPLEX_POLAR
 
 COMMANDS = (
     "info",
@@ -38,6 +39,7 @@ INPUTS = {
     "cross4": format_vertex_matrix(CROSS4),
     "cube4": format_vertex_matrix(CUBE4),
     "p11169": format_vertex_matrix(P11169),
+    "p1122842": format_vertex_matrix(PAIR_INPUTS["p1,1,12,28,42"]),
     "doubled": format_vertex_matrix([tuple(2 * x for x in v) for v in SIMPLEX_POLAR]),
     "square": format_vertex_matrix([(-1, -1), (1, -1), (1, 1), (-1, 1)]),
     "flat": format_vertex_matrix([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]),
@@ -57,6 +59,9 @@ def cases():
     for cmd in COMMANDS:
         for fmt in FORMATS:
             yield f"{cmd} wps {fmt}", [cmd, "--wps", WPS, "--format", fmt]
+    for fmt in FORMATS:
+        # 2,543 sectors with the largest coefficient denominators here
+        yield f"sectors-toric p1122842 dual {fmt}", ["sectors-toric", "@p1122842", "--dual", "--format", fmt]
     for fmt in ("json", "tsv", "vertices"):
         yield f"wps {fmt}", ["wps", "1", "1", "2", "2", "2", "--format", fmt]
 
@@ -243,6 +248,8 @@ DIGESTS = {
     "mirror wps tsv": (0, "087aca118d556f4a2a89f4043cad5baa1327de2fd617ae73fbdeea1fd37feaca"),
     "oracle-jacobian wps json": (0, "1d6d6d37c18949d0df05646b6a080ec17f0d60db71f657104ec05c8b40da4a58"),
     "oracle-jacobian wps tsv": (0, "d2c60ccd569edd73c743ed72ee61b43eb014fe86f491b3c0b6471affb0c54f82"),
+    "sectors-toric p1122842 dual json": (0, "26cc451744e2e5748bf53276633b7b2d17412a9da7aef1455087e657d185981d"),
+    "sectors-toric p1122842 dual tsv": (0, "fe06a1d03854800efe56bffd8e74596565e6f52b281df6b6fa4d2d0fdfa6d105"),
     "wps json": (0, "01d8776c7b62197a32f44a9877b7c5de952b7ce64be745c350060c07168c76fb"),
     "wps tsv": (0, "3dd94db5ed1d43f87ce4e97be9bfd13dc31cd6044efdc49924428dac1d4aa3a7"),
     "wps vertices": (0, "3dd94db5ed1d43f87ce4e97be9bfd13dc31cd6044efdc49924428dac1d4aa3a7"),
