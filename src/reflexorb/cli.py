@@ -18,7 +18,6 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 from . import __version__
 from .errors import (
@@ -142,20 +141,26 @@ def _input_hash(poly: LatticePolytope) -> str:
     return hashlib.sha256(format_vertex_matrix(poly.vertices).encode()).hexdigest()
 
 
-def _frac(x):
-    """Exact JSON-safe scalar: int when integral, \"p/q\" string otherwise."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return int(f)
-    return f"{f.numerator}/{f.denominator}"
+def _ratio(p: int, q: int):
+    """Exact JSON-safe scalar for p/q, q > 0: an int when q divides p,
+    otherwise a \"p/q\" string in lowest terms."""
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    return p if q == 1 else f"{p}/{q}"
+
+
+def _box_fields(e) -> dict:
+    return {
+        "point": list(e.point),
+        "coefficients": [_ratio(c, e.denominator) for c in e.numerators],
+        "age": _ratio(sum(e.numerators), e.denominator),
+    }
 
 
 def _toric_sector_obj(s):
     return {
         "generators": [list(g) for g in s.cone.generators],
-        "point": list(s.element.point),
-        "coefficients": [_frac(c) for c in s.element.coefficients],
-        "age": _frac(s.age),
+        **_box_fields(s.element),
         "group_order": s.group_order,
         "support_dim": s.support_dim,
     }
@@ -166,9 +171,7 @@ def _cy_sector_obj(pair, s):
     return {
         "face_dim": s.face_dim,
         "face_vertices": [list(polar.vertices[i]) for i in s.face_ids],
-        "point": list(s.element.point),
-        "coefficients": [_frac(c) for c in s.element.coefficients],
-        "age": _frac(s.age),
+        **_box_fields(s.element),
         "group_order": s.group_order,
         "components": s.components,
         "h_top": s.h_top,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HypothesisError, NotSimplicialError
+from .errors import AuditError, HypothesisError, NotSimplicialError
 from .fan import BoxElement, box_elements, normal_fan, quotient_group_order
 from .polytope import ReflexivePair
 
@@ -69,10 +69,17 @@ def cy_twisted_sectors(pair: ReflexivePair, force: bool = False) -> tuple[CySect
             order = quotient_group_order(cone)
             face_interior = set(face.interior_lattice_points())
             for elem in interior:
-                assert elem.age.denominator == 1, "reflexive fans are Gorenstein"
-                assert elem.age >= 1
+                age, rest = divmod(sum(elem.numerators), elem.denominator)
+                if rest:
+                    # reflexive fans are Gorenstein
+                    raise AuditError(f"box element {elem.point} has a fractional age")
+                if age < 1:
+                    raise AuditError(f"interior box element {elem.point} has age {age} < 1")
                 # age-1 elements sit precisely at interior lattice points
-                assert (elem.age == 1) == (elem.point in face_interior)
+                if (age == 1) != (elem.point in face_interior):
+                    raise AuditError(
+                        f"box element {elem.point} of age {age} disagrees with the face interior"
+                    )
                 h_top = dual_interior if dim == 1 else 0
                 out.append(
                     CySector(
@@ -160,8 +167,10 @@ def hodge_report(pair: ReflexivePair, force: bool = False) -> HodgeReport:
     if pair.n >= 4:
         # the twisted/untwisted split identities hold under the dimension
         # hypothesis; forced low-dimension runs report raw formula values
-        assert h11o == h11u + age1, "divisor audit failed"
-        assert h21o == h21u + genus_sum, "deformation audit failed"
+        if h11o != h11u + age1:
+            raise AuditError(f"divisor audit failed: h11_orb {h11o} != {h11u} + {age1}")
+        if h21o != h21u + genus_sum:
+            raise AuditError(f"deformation audit failed: h21_orb {h21o} != {h21u} + {genus_sum}")
     euler = None
     diamond = None
     if pair.n == 4:

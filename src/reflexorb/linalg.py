@@ -136,13 +136,10 @@ def _rows_as_integers(m) -> IntMatrix:
     for row in m:
         r = list(row)
         if any(isinstance(x, Fraction) for x in r):
-            scale = lcm(*(Fraction(x).denominator for x in r)) if r else 1
-            ints = []
-            for x in r:
-                f = Fraction(x) * scale
-                assert f.denominator == 1
-                ints.append(int(f))
-            out.append(ints)
+            fracs = [Fraction(x) for x in r]
+            # an lcm of the denominators: each entry scales exactly to an int
+            scale = lcm(*(f.denominator for f in fracs))
+            out.append([f.numerator * (scale // f.denominator) for f in fracs])
         else:
             out.append([int(x) for x in r])
     return out

@@ -385,7 +385,8 @@ def _hyperplane_through(pts, n):
     base = pts[0]
     rows = [[p[i] - base[i] for i in range(n)] for p in pts[1:]]
     basis = rational_kernel_basis(rows)
-    assert len(basis) == 1, "facet points are not affinely independent"
+    if len(basis) != 1:
+        raise AuditError("facet points are not affinely independent")
     normal = _primitive(basis[0])
     rhs = sum(a * b for a, b in zip(normal, base))
     return normal, rhs
@@ -416,7 +417,8 @@ def _convex_hull(pts, n):
     def oriented(ids):
         normal, rhs = _hyperplane_through([pts[i] for i in ids], n)
         cval = sum(a * b for a, b in zip(normal, center))
-        assert cval != rhs, "degenerate facet through the interior point"
+        if cval == rhs:
+            raise AuditError("degenerate facet through the interior point")
         if cval > rhs:
             normal = tuple(-x for x in normal)
             rhs = -rhs

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import reflexorb
-from reflexorb import polytope
+from reflexorb import fan, hodge, polytope
 from reflexorb.cli import main
 from reflexorb.polytope import (
     LatticePolytope,
@@ -16,7 +16,7 @@ from reflexorb.polytope import (
     parse_vertex_matrix,
 )
 
-from test_polytope import CROSS4, CUBE4, SIMPLEX_DELTA, SIMPLEX_POLAR
+from test_polytope import CROSS4, CUBE4, P11169, SIMPLEX_DELTA, SIMPLEX_POLAR
 
 SQUARE = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
 
@@ -333,6 +333,34 @@ def test_exit_code_audit(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(["hodge", write_poly(tmp_path, "cross.txt", CROSS4)], capsys)
     assert (code, out) == (6, "")
     assert err.startswith("reflexorb: not Eulerian")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_exit_code_audit_hodge_split(capsys, monkeypatch):
+    # an h11_orb one too high must trip the divisor audit, also under python -O
+    real = hodge.h11_orb
+    monkeypatch.setattr(hodge, "h11_orb", lambda pair, force=False: real(pair, force) + 1)
+    code, out, err = run_cli(["hodge", "--wps", "1,1,12,28,42"], capsys)
+    assert (code, out) == (6, "")
+    assert err.startswith("reflexorb: divisor audit failed")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_exit_code_audit_box_walk(tmp_path, capsys, monkeypatch):
+    # the identity in place of the Smith form's row transform walks a group
+    # whose elements are not lattice points; on this fan none of them is
+    # interior, so only the check on the group's generators sees it
+    real = fan.smith_normal_form
+
+    def wrong_transform(m):
+        d, u, v = real(m)
+        return d, [[int(i == j) for j in range(len(u))] for i in range(len(u))], v
+
+    monkeypatch.setattr(fan, "smith_normal_form", wrong_transform)
+    path = write_poly(tmp_path, "p11169.txt", P11169)
+    code, out, err = run_cli(["sectors-toric", path, "--dual"], capsys)
+    assert (code, out) == (6, "")
+    assert err.startswith("reflexorb: box generator") and "is not a lattice point" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -6,7 +6,8 @@ import pytest
 import oracles
 from reflexorb import fan as fan_module
 from reflexorb import jacobian, linalg, polytope
-from reflexorb.errors import NotSimplicialError
+from reflexorb.cli import wps_polytope
+from reflexorb.errors import AuditError, NotSimplicialError
 from reflexorb.fan import (
     BoxElement,
     Cone,
@@ -16,10 +17,11 @@ from reflexorb.fan import (
     quotient_group_order,
     toric_twisted_sectors,
 )
+from reflexorb.hodge import mirror_check
 from reflexorb.polytope import LatticePolytope, ReflexivePair
 
 from pairing import face_with_vertex_ids
-from test_polytope import CROSS4, CUBE4, SIMPLEX_POLAR
+from test_polytope import CROSS4, CROSS6, CUBE4, P11169, SIMPLEX_POLAR
 
 
 def fan_from_generator_sets(n, generator_sets):
@@ -41,6 +43,54 @@ def cones_of_dim(fan, dim):
 def is_gorenstein(fan):
     """True when every box element of every cone has integral age."""
     return all(e.age.denominator == 1 for c in fan.cones for e in box_elements(c))
+
+
+def fraction_box_elements(cone):
+    """Reference box enumeration: the Fraction odometer box_elements used
+    before the integer walk. Returns (coefficients, point) pairs sorted by
+    point, for a simplicial cone."""
+    gens = cone.generators
+    if not gens:
+        return (((), ()),)
+    divisors, u = cone._smith
+    d, n = len(gens), len(gens[0])
+    stack = [()]
+    for di in divisors:
+        stack = [t + (k,) for t in stack for k in range(di)]
+    out = []
+    for t in stack:
+        b = [Fraction(t[i], divisors[i]) for i in range(d)]
+        coeffs = tuple(sum(b[i] * u[i][j] for i in range(d)) % 1 for j in range(d))
+        point = [sum(coeffs[i] * gens[i][j] for i in range(d)) for j in range(n)]
+        assert all(x.denominator == 1 for x in point)
+        out.append((coeffs, tuple(int(x) for x in point)))
+    out.sort(key=lambda e: e[1])
+    return tuple(out)
+
+
+def interior_pairs(pairs):
+    return tuple(p for p in pairs if all(0 < a < 1 for a in p[0]))
+
+
+def assert_box_matches_reference(cone):
+    """box_elements, both in full and interior only, against the reference."""
+    full = fraction_box_elements(cone)
+    assert tuple((e.coefficients, e.point) for e in box_elements(cone)) == full
+    interior = box_elements(cone, interior_only=True)
+    assert tuple((e.coefficients, e.point) for e in interior) == interior_pairs(full)
+    return len(full)
+
+
+# the weight systems of the benchmark's jacobian-rank and basis-shear workloads
+REFERENCE_WEIGHTS = (
+    (1, 1, 2, 2, 2),
+    (1, 1, 1, 1, 1),
+    (1, 1, 2, 8, 12),
+    (1, 1, 3, 10, 15),
+    (1, 1, 1, 6, 9),
+    (1, 1, 6, 16, 24),
+    (1, 2, 2, 3, 4),
+)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +209,7 @@ def test_box_matches_parallelepiped_scan():
         }
         assert mine == scan
         assert len(mine) == quotient_group_order(cone)
+        assert_box_matches_reference(cone)
 
 
 def test_box_age_pairing():
@@ -278,3 +329,74 @@ def test_one_smith_form_per_cone(verts, monkeypatch):
     assert len(set(calls)) == len(calls)  # no cone's matrix factored twice
     assert toric_twisted_sectors(fan) == sectors
     assert len(set(calls)) == len(calls)  # the second pass reads the caches
+
+
+@pytest.mark.parametrize(
+    "weights,side",
+    [(w, side) for w in REFERENCE_WEIGHTS for side in ("fan", "dual")] + [((1,) * 6, "dual")],
+    ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else x,
+)
+def test_box_walk_matches_fraction_odometer(weights, side):
+    poly = wps_polytope(list(weights))
+    pair = ReflexivePair.from_delta(poly) if side == "dual" else ReflexivePair(poly)
+    checked = 0
+    for cone in normal_fan(pair).cones:
+        if not cone.is_simplicial():
+            with pytest.raises(NotSimplicialError):
+                box_elements(cone)
+            continue
+        checked += assert_box_matches_reference(cone)
+    assert checked > 0
+
+
+def test_box_element_numerators():
+    cone = Cone(((1, 0), (2, 5)))
+    elems = box_elements(cone)
+    assert {e.denominator for e in elems} == {5}
+    for e in elems:
+        assert e.coefficients == tuple(Fraction(c, 5) for c in e.numerators)
+        assert e.age == Fraction(sum(e.numerators), 5)
+        assert e.is_interior() == all(0 < c < 1 for c in e.coefficients)
+    assert box_elements(Cone(())) == (BoxElement((), 1, ()),)
+
+
+def test_face_dim_disagreeing_with_smith_form_raises():
+    # two dependent generators claimed to sit over an edge
+    cone = Cone(((1, 0), (2, 0)), face_dim=1)
+    assert cone.is_simplicial()  # read from the face, no Smith form
+    with pytest.raises(AuditError, match="rank 1, not 2"):
+        box_elements(cone)
+    with pytest.raises(AuditError):
+        quotient_group_order(cone)
+
+
+def count_smith_forms(monkeypatch):
+    calls = []
+    real = linalg.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    monkeypatch.setattr(fan_module, "smith_normal_form", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "verts,dual,simplicial,both",
+    [
+        (P11169, False, True, True),
+        (P11169, True, True, True),
+        (CROSS6, False, True, False),
+        (CROSS6, True, False, False),
+    ],
+    ids=["p11169-fan", "p11169-dual", "cross6-fan", "cross6-dual"],
+)
+def test_simpliciality_runs_no_smith_form(verts, dual, simplicial, both, monkeypatch):
+    poly = LatticePolytope.from_vertices(verts)
+    pair = ReflexivePair.from_delta(poly) if dual else ReflexivePair(poly)
+    calls = count_smith_forms(monkeypatch)
+    assert normal_fan(pair).is_simplicial() == simplicial
+    assert mirror_check(pair).hypothesis_met == both
+    assert calls == []

@@ -227,7 +227,7 @@ def test_sector_h_top_zero_for_higher_dims(simplex_pair):
     dummy = CySector(
         face_ids=(0, 1, 2),
         face_dim=2,
-        element=BoxElement((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), (0, 0, 0, 0)),
+        element=BoxElement((1, 1, 1), 2, (0, 0, 0, 0)),
         group_order=2,
         components=1,
         h_top=0,
