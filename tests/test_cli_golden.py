@@ -3,7 +3,8 @@
 Every subcommand runs in json and tsv, on the fan side and with --dual, on
 the golden P(1,1,2,2,2) vertex file, cross4, cube4 and P(1,1,1,6,9), and on
 one --wps input; the wps command runs in its three formats, and
-sectors-toric --dual on P(1,1,12,28,42) in json and tsv. Each run pins
+sectors-toric --dual on P(1,1,12,28,42) and P(1^6) and sectors-cy on the
+fan side of P(1,1,12,28,42) in json and tsv. Each run pins
 its exit code and the sha256 of its stdout, and runs exactly one convex
 hull. The error paths pin the exit code and the single stderr line. A
 change that alters one byte of output fails here, so output changes are
@@ -40,6 +41,7 @@ INPUTS = {
     "cube4": format_vertex_matrix(CUBE4),
     "p11169": format_vertex_matrix(P11169),
     "p1122842": format_vertex_matrix(PAIR_INPUTS["p1,1,12,28,42"]),
+    "p1six": format_vertex_matrix([*(tuple(int(i == j) for j in range(5)) for i in range(5)), (-1,) * 5]),
     "doubled": format_vertex_matrix([tuple(2 * x for x in v) for v in SIMPLEX_POLAR]),
     "square": format_vertex_matrix([(-1, -1), (1, -1), (1, 1), (-1, 1)]),
     "flat": format_vertex_matrix([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]),
@@ -62,6 +64,10 @@ def cases():
     for fmt in FORMATS:
         # 2,543 sectors with the largest coefficient denominators here
         yield f"sectors-toric p1122842 dual {fmt}", ["sectors-toric", "@p1122842", "--dual", "--format", fmt]
+        # 5,170 sectors over 944 cones of a five-dimensional fan
+        yield f"sectors-toric p1six dual {fmt}", ["sectors-toric", "@p1six", "--dual", "--format", fmt]
+        # fan side: 19 sectors on edges and 2-faces, denominators up to 14
+        yield f"sectors-cy p1122842 fan {fmt}", ["sectors-cy", "@p1122842", "--format", fmt]
     for fmt in ("json", "tsv", "vertices"):
         yield f"wps {fmt}", ["wps", "1", "1", "2", "2", "2", "--format", fmt]
 
@@ -250,6 +256,10 @@ DIGESTS = {
     "oracle-jacobian wps tsv": (0, "d2c60ccd569edd73c743ed72ee61b43eb014fe86f491b3c0b6471affb0c54f82"),
     "sectors-toric p1122842 dual json": (0, "26cc451744e2e5748bf53276633b7b2d17412a9da7aef1455087e657d185981d"),
     "sectors-toric p1122842 dual tsv": (0, "fe06a1d03854800efe56bffd8e74596565e6f52b281df6b6fa4d2d0fdfa6d105"),
+    "sectors-toric p1six dual json": (0, "d55bad9846376241169f0f0b8f38d2418bc6c7d5ba7f8998a042eccf35260e7e"),
+    "sectors-toric p1six dual tsv": (0, "361ab6d123243bcec1f47985f57b3df25a2c114bfecdde40622b085451fe8724"),
+    "sectors-cy p1122842 fan json": (0, "5cb491bad37eecadb2e4da585ace11d7c35a040a563a2dc5f0b8993de5349804"),
+    "sectors-cy p1122842 fan tsv": (0, "40acbf7656c11a94854085bb8e7cbf561b63d7c61bc722034dd909d4ea9e02a6"),
     "wps json": (0, "01d8776c7b62197a32f44a9877b7c5de952b7ce64be745c350060c07168c76fb"),
     "wps tsv": (0, "3dd94db5ed1d43f87ce4e97be9bfd13dc31cd6044efdc49924428dac1d4aa3a7"),
     "wps vertices": (0, "3dd94db5ed1d43f87ce4e97be9bfd13dc31cd6044efdc49924428dac1d4aa3a7"),
