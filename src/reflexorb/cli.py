@@ -18,6 +18,8 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from itertools import groupby
+from operator import attrgetter
 
 from . import __version__
 from .errors import (
@@ -149,33 +151,40 @@ def _ratio(p: int, q: int):
     return p if q == 1 else f"{p}/{q}"
 
 
-def _box_fields(e) -> dict:
-    return {
-        "point": list(e.point),
-        "coefficients": [_ratio(c, e.denominator) for c in e.numerators],
-        "age": _ratio(sum(e.numerators), e.denominator),
-    }
+class _SectorTable:
+    """Sector rows grouped by the cone or face they share: each group holds
+    that cone's or face's columns and its sectors' box elements. A group's
+    columns are rendered once; each row adds its element's age,
+    coefficients and point."""
 
+    def __init__(self, sectors, key, columns):
+        self.groups = []
+        for _, run in groupby(sectors, key):
+            run = list(run)
+            self.groups.append((columns(run[0]), [s.element for s in run]))
 
-def _toric_sector_obj(s):
-    return {
-        "generators": [list(g) for g in s.cone.generators],
-        **_box_fields(s.element),
-        "group_order": s.group_order,
-        "support_dim": s.support_dim,
-    }
-
-
-def _cy_sector_obj(pair, s):
-    polar = pair.delta_polar
-    return {
-        "face_dim": s.face_dim,
-        "face_vertices": [list(polar.vertices[i]) for i in s.face_ids],
-        **_box_fields(s.element),
-        "group_order": s.group_order,
-        "components": s.components,
-        "h_top": s.h_top,
-    }
+    def rows(self, render, slot, age, brackets):
+        """Each group's rows as a list of strings. render(row) is the text
+        of a row whose age, coefficients and point are "\\0", which renders
+        as slot; age renders an age, and brackets (open, separator, close)
+        a list of numbers."""
+        ratios = {}  # D -> the rendered c/D for c in range(D)
+        start, sep, end = brackets
+        for columns, elements in self.groups:
+            row = {**columns, "age": "\0", "coefficients": "\0", "point": "\0"}
+            a, b, c, d = render(row).split(slot)
+            rows = []
+            for e in elements:
+                q = e.denominator
+                if q not in ratios:
+                    ratios[q] = [json.dumps(_ratio(p, q)) for p in range(q)]
+                ratio = ratios[q]
+                rows.append(
+                    a + age(_ratio(sum(e.numerators), q)) + b
+                    + start + sep.join([ratio[p] for p in e.numerators]) + end + c
+                    + start + sep.join(map(str, e.point)) + end + d
+                )
+            yield rows
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -266,13 +275,26 @@ def _cmd_points(poly, args):
 @_command("sectors-toric", "twisted sectors of the ambient toric variety")
 def _cmd_sectors_toric(pair, args):
     sectors = toric_twisted_sectors(normal_fan(pair))
-    return {"sectors": [_toric_sector_obj(s) for s in sectors]}, EXIT_OK
+    columns = lambda s: {
+        "generators": [list(g) for g in s.cone.generators],
+        "group_order": s.group_order,
+        "support_dim": s.support_dim,
+    }
+    return {"sectors": _SectorTable(sectors, attrgetter("cone"), columns)}, EXIT_OK
 
 
 @_command("sectors-cy", "twisted sectors of the anticanonical hypersurface", force=True)
 def _cmd_sectors_cy(pair, args):
     sectors = cy_twisted_sectors(pair, force=args.force)
-    return {"sectors": [_cy_sector_obj(pair, s) for s in sectors]}, EXIT_OK
+    vertices = pair.delta_polar.vertices
+    columns = lambda s: {
+        "face_dim": s.face_dim,
+        "face_vertices": [list(vertices[i]) for i in s.face_ids],
+        "group_order": s.group_order,
+        "components": s.components,
+        "h_top": s.h_top,
+    }
+    return {"sectors": _SectorTable(sectors, attrgetter("face_ids"), columns)}, EXIT_OK
 
 
 @_command("hodge", "orbifold Hodge numbers with audits", force=True)
@@ -316,8 +338,21 @@ def _cmd_wps(pair, args):
 # -- output rendering --------------------------------------------------------------
 
 
-def _render_json(rows) -> str:
-    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
+def _render_json(rows):
+    """json.dumps(rows, sort_keys=True, indent=2) and a newline, with a
+    sector table written one group of rows at a time."""
+    table = rows.get("sectors")
+    if not isinstance(table, _SectorTable):
+        yield json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        return
+    head, tail = json.dumps({**rows, "sectors": "\0"}, sort_keys=True, indent=2).split('"\\u0000"')
+    yield head
+    opening = "[\n"
+    item = lambda row: "    " + json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
+    for items in table.rows(item, '"\\u0000"', json.dumps, ("[\n        ", ",\n        ", "\n      ]")):
+        yield opening + ",\n".join(items)
+        opening = ",\n"
+    yield ("[]" if opening == "[\n" else "\n  ]") + tail + "\n"
 
 
 def _tsv_scalar(value) -> str:
@@ -330,30 +365,27 @@ def _tsv_scalar(value) -> str:
     return str(value)
 
 
-def _render_tsv(rows) -> str:
-    table_key = None
-    for key in ("points", "faces", "sectors"):
-        if key in rows and isinstance(rows[key], list):
-            table_key = key
-            break
-    lines = []
-    for key in sorted(rows):
-        if key == table_key:
-            continue
-        lines.append(f"{key}\t{_tsv_scalar(rows[key])}")
-    if table_key is not None:
-        table = rows[table_key]
-        if table and isinstance(table[0], dict):
-            cols = sorted(table[0])
-            lines.append("\t".join([table_key] + cols))
-            for entry in table:
-                lines.append(
-                    "\t".join([table_key] + [_tsv_scalar(entry[c]) for c in cols])
-                )
-        else:
-            for entry in table:
-                lines.append("\t".join(str(x) for x in entry))
-    return "\n".join(lines) + "\n"
+def _tsv_line(key, entry: dict) -> str:
+    return "\t".join([key] + [_tsv_scalar(entry[c]) for c in sorted(entry)]) + "\n"
+
+
+def _render_tsv(rows):
+    """Scalars as key-value lines, then the table (points, faces or
+    sectors) one row per line under a header of its sorted columns."""
+    tables = [k for k in ("points", "faces", "sectors") if isinstance(rows.get(k), (list, _SectorTable))]
+    table_key = tables[0] if tables else None
+    yield "".join(f"{key}\t{_tsv_scalar(rows[key])}\n" for key in sorted(rows) if key != table_key)
+    table = rows.get(table_key)
+    if isinstance(table, _SectorTable):
+        if table.groups:
+            yield "\t".join(["sectors", *sorted({*table.groups[0][0], "age", "coefficients", "point"})]) + "\n"
+        for lines in table.rows(lambda row: _tsv_line("sectors", row), "\0", _tsv_scalar, ("[", ", ", "]")):
+            yield "".join(lines)
+    elif table and isinstance(table[0], dict):
+        yield "\t".join([table_key] + sorted(table[0])) + "\n"
+        yield "".join(_tsv_line(table_key, entry) for entry in table)
+    elif table:
+        yield "".join("\t".join(str(x) for x in entry) + "\n" for entry in table)
 
 
 def _add_options(p, *, weights=False, seed=False, force=False, points=False):
@@ -430,7 +462,8 @@ def main(argv=None) -> int:
         }
         rows.update(payload)
         render = _render_tsv if args.format == "tsv" else _render_json
-        sys.stdout.write(render(rows))
+        # every sector and audit is settled; rows go out as they are rendered
+        sys.stdout.writelines(render(rows))
         return code
     except (CliError, *_EXIT_CODES) as exc:
         print(f"reflexorb: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AuditError, HypothesisError, NotSimplicialError
-from .fan import BoxElement, box_elements, normal_fan, quotient_group_order
+from .fan import BoxElement, interior_boxes, normal_fan
 from .polytope import ReflexivePair
 
 
@@ -55,18 +55,16 @@ def cy_twisted_sectors(pair: ReflexivePair, force: bool = False) -> tuple[CySect
     if not fan.is_simplicial():
         raise NotSimplicialError("twisted sectors require a simplicial normal fan")
     polar = pair.delta_polar
-    cone_over = {c.face_ids: c for c in fan.cones}
+    boxes = {c.face_ids: box for c, box in interior_boxes(fan).items()}
     out = []
     for dim in range(1, pair.n - 1):
         for face in polar.faces(dim):
-            cone = cone_over[face.vertex_ids]
-            interior = box_elements(cone, interior_only=True)
+            interior, order = boxes[face.vertex_ids]
             if not interior:
                 continue
             dual = pair.dual_face(face)
             dual_interior = len(dual.interior_lattice_points())
             components = dual_interior + 1 if dim == pair.n - 2 else 1
-            order = quotient_group_order(cone)
             face_interior = set(face.interior_lattice_points())
             for elem in interior:
                 age, rest = divmod(sum(elem.numerators), elem.denominator)

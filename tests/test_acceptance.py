@@ -16,11 +16,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from reflexorb.fan import Cone, box_elements, normal_fan, toric_twisted_sectors
+from reflexorb.fan import Cone, interior_boxes, normal_fan, toric_twisted_sectors
 from reflexorb.hodge import cy_twisted_sectors, hodge_report, mirror_check
 from reflexorb.jacobian import gamma, jacobian_rank_check, monomial_basis
 from reflexorb.polytope import LatticePolytope, ReflexivePair, format_vertex_matrix
 
+from boxes import box_elements, is_interior
 from test_hodge import (
     FIVEDIM_POLAR,
     OCTIC_POLAR,
@@ -146,7 +147,7 @@ def test_criterion_6_box_property_suite():
             (tuple(p), tuple(c)) for p, c in expected
         ], gens
         assert len(got) == abs(det)
-        interior = [b for b in got if b.is_interior()]
+        interior = [b for b in got if is_interior(b)]
         coeff_set = {b.coefficients for b in got}
         for b in interior:
             partner = tuple(1 - c for c in b.coefficients)
@@ -174,9 +175,9 @@ def test_criterion_7_structural_identities():
 
         assert pair.delta.polar_dual().vertices == polar.vertices, name
 
-        fan = normal_fan(pair)
-        for cone in fan.cones:
-            for b in box_elements(cone):
+        # every box element is interior to one face
+        for interior, _ in interior_boxes(normal_fan(pair)).values():
+            for b in interior:
                 assert b.age.denominator == 1, name
     print("[PASS] criterion 7: point partition, dual dims, involution, integral ages on all instances")
 

@@ -322,7 +322,7 @@ def test_exit_code_not_simplicial(cube_file, capsys):
     assert code == 3
 
 
-def test_exit_code_audit(tmp_path, capsys, monkeypatch):
+def drop_a_facet(monkeypatch):
     real = polytope._convex_hull
 
     def hull_missing_a_facet(pts, n):
@@ -330,6 +330,10 @@ def test_exit_code_audit(tmp_path, capsys, monkeypatch):
         return vertices, inequalities[1:]
 
     monkeypatch.setattr(polytope, "_convex_hull", hull_missing_a_facet)
+
+
+def test_exit_code_audit(tmp_path, capsys, monkeypatch):
+    drop_a_facet(monkeypatch)
     code, out, err = run_cli(["hodge", write_poly(tmp_path, "cross.txt", CROSS4)], capsys)
     assert (code, out) == (6, "")
     assert err.startswith("reflexorb: not Eulerian")
@@ -361,6 +365,123 @@ def test_exit_code_audit_box_walk(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(["sectors-toric", path, "--dual"], capsys)
     assert (code, out) == (6, "")
     assert err.startswith("reflexorb: box generator") and "is not a lattice point" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def patched_smith(monkeypatch, change, only=None):
+    """Route the fan's Smith forms through change(d, u), for every cone or
+    for the generator matrix only."""
+    real = fan.smith_normal_form
+
+    def smith(m):
+        d, u, v = real(m)
+        if only is None or m == only:
+            d, u = change([row[:] for row in d], [row[:] for row in u])
+        return d, u, v
+
+    monkeypatch.setattr(fan, "smith_normal_form", smith)
+
+
+def negate_factors(d, u):
+    for i in range(min(len(d), len(d[0]))):
+        d[i][i] = -d[i][i]
+    return d, u
+
+
+def drop_last_factor(d, u):
+    k = min(len(d), len(d[0])) - 1
+    d[k][k] = 0
+    return d, u
+
+
+def non_dividing_first_factor(d, u):
+    d[0][0] = 4
+    return d, u
+
+
+def repeat_last_cyclic_factor(d, u):
+    # the last row twice, each of order D: every element is walked twice
+    k = min(len(d), len(d[0])) - 1
+    d[k - 1][k - 1] = d[k][k]
+    u[k - 1] = u[k]
+    return d, u
+
+
+def identity_transform(d, u):
+    return d, [[int(i == j) for j in range(len(u))] for i in range(len(u))]
+
+
+def no_face_interiors(monkeypatch):
+    monkeypatch.setattr(polytope.Face, "interior_lattice_points", lambda self: ())
+
+
+# name -> (commands, vertices, exit code, part of the stderr line, setup(monkeypatch))
+FAILURES = {
+    "negative factor": (
+        ("sectors-toric", "sectors-cy"), P11169, 6, "Smith form has a negative invariant factor",
+        lambda mp: patched_smith(mp, negate_factors),
+    ),
+    "rank": (
+        ("sectors-toric", "sectors-cy"), P11169, 6, "cone over a 3-face has rank 3, not 4",
+        lambda mp: patched_smith(mp, drop_last_factor),
+    ),
+    "invariant factors": (
+        ("sectors-toric", "sectors-cy"), P11169, 6, "invariant factors (4, 1, 1, 6) do not divide",
+        lambda mp: patched_smith(mp, non_dividing_first_factor),
+    ),
+    "box generator": (
+        ("sectors-toric", "sectors-cy"), P11169, 6, "box generator",
+        lambda mp: patched_smith(mp, identity_transform),
+    ),
+    "repeated points": (
+        ("sectors-toric", "sectors-cy"), P11169, 6, "box points repeat",
+        lambda mp: patched_smith(mp, repeat_last_cyclic_factor),
+    ),
+    "face interior": (
+        ("sectors-cy",), P11169, 6, "disagrees with the face interior", no_face_interiors,
+    ),
+    "not eulerian": (("sectors-toric", "sectors-cy"), CROSS4, 6, "not Eulerian", drop_a_facet),
+    "not simplicial": (("sectors-toric", "sectors-cy"), CUBE4, 3, "twisted sectors require", None),
+    "hypothesis": (("sectors-cy",), SQUARE, 5, "formulas assume ambient dimension >= 4", None),
+}
+
+
+@pytest.mark.parametrize(
+    "case,command,fmt",
+    [(case, cmd, fmt) for case, spec in FAILURES.items() for cmd in spec[0] for fmt in ("json", "tsv")],
+)
+def test_sector_failures_leave_stdout_empty(case, command, fmt, tmp_path, capsys, monkeypatch):
+    # sector rows stream out only after every sector and audit is settled
+    _, vertices, want_code, want_err, setup = FAILURES[case]
+    path = write_poly(tmp_path, "input.txt", vertices)
+    if setup is not None:
+        setup(monkeypatch)
+    code, out, err = run_cli([command, path, "--format", fmt], capsys)
+    assert (code, out) == (want_code, "")
+    assert err.startswith("reflexorb: ") and want_err in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sectors-toric", "sectors-cy", "hodge"])
+def test_exit_code_audit_shared_face(command, tmp_path, capsys, monkeypatch):
+    # one maximal cone's Smith form claims a trivial group; another maximal
+    # cone walks elements on a face the two share, so the counts disagree
+    pair = polytope.ReflexivePair(LatticePolytope.from_vertices(P11169))
+    boxes = fan.interior_boxes(fan.normal_fan(pair))
+    maximal = [c for c in boxes if len(c.generators) == pair.n]
+    shared = next(
+        face for face, (interior, _) in boxes.items()
+        if interior and sum(set(face.generators) <= set(c.generators) for c in maximal) > 1
+    )
+    target = next(c for c in maximal if set(shared.generators) <= set(c.generators))
+    patched_smith(
+        monkeypatch,
+        lambda d, u: ([[int(i == j) for j in range(len(d[0]))] for i in range(len(d))], u),
+        only=[list(g) for g in target.generators],
+    )
+    code, out, err = run_cli([command, write_poly(tmp_path, "p11169.txt", P11169)], capsys)
+    assert (code, out) == (6, "")
+    assert err.startswith("reflexorb: maximal cones disagree on the face")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -8,18 +8,11 @@ from reflexorb import fan as fan_module
 from reflexorb import jacobian, linalg, polytope
 from reflexorb.cli import wps_polytope
 from reflexorb.errors import AuditError, NotSimplicialError
-from reflexorb.fan import (
-    BoxElement,
-    Cone,
-    Fan,
-    box_elements,
-    normal_fan,
-    quotient_group_order,
-    toric_twisted_sectors,
-)
+from reflexorb.fan import BoxElement, Cone, Fan, interior_boxes, normal_fan, toric_twisted_sectors
 from reflexorb.hodge import mirror_check
 from reflexorb.polytope import LatticePolytope, ReflexivePair
 
+from boxes import box_elements, is_interior, quotient_group_order, smith_rank
 from pairing import face_with_vertex_ids
 from test_polytope import CROSS4, CROSS6, CUBE4, P11169, SIMPLEX_POLAR
 
@@ -29,7 +22,7 @@ def fan_from_generator_sets(n, generator_sets):
     seen = {(): Cone(())}
     for gens in generator_sets:
         gens = tuple(tuple(g) for g in gens)
-        assert Cone(gens).is_simplicial()
+        assert smith_rank(gens) == len(gens)
         for mask in range(1, 2 ** len(gens)):
             sub = tuple(sorted(g for i, g in enumerate(gens) if mask >> i & 1))
             seen.setdefault(sub, Cone(sub))
@@ -72,12 +65,18 @@ def interior_pairs(pairs):
     return tuple(p for p in pairs if all(0 < a < 1 for a in p[0]))
 
 
-def assert_box_matches_reference(cone):
-    """box_elements, both in full and interior only, against the reference."""
+def assert_box_matches_reference(cone, boxes=None):
+    """box_elements, both in full and interior only, against the reference;
+    with boxes, from interior_boxes on a fan of the cone, also the cone's
+    interior elements and group order read from its maximal cone's walk."""
     full = fraction_box_elements(cone)
     assert tuple((e.coefficients, e.point) for e in box_elements(cone)) == full
     interior = box_elements(cone, interior_only=True)
     assert tuple((e.coefficients, e.point) for e in interior) == interior_pairs(full)
+    if boxes is not None:
+        walked, order = boxes[cone]
+        assert tuple((e.coefficients, e.point) for e in walked) == interior_pairs(full)
+        assert order == len(full)
     return len(full)
 
 
@@ -128,15 +127,13 @@ def random_simplicial_cone(rng, dim, bound):
             prim.append(tuple(x // d for x in g))
         if not ok:
             continue
-        cone = Cone(tuple(sorted(prim)))
-        if cone.is_simplicial():
-            return cone
+        if smith_rank(prim) == dim:
+            return Cone(tuple(sorted(prim)))
 
 
 def test_normal_fan_shape(simplex_fan):
     pair, fan = simplex_fan
-    assert fan.r == 5
-    assert set(fan.rays) == set(SIMPLEX_POLAR)
+    assert {g for c in fan.cones for g in c.generators} == set(SIMPLEX_POLAR)
     assert len(cones_of_dim(fan, 4)) == 5
     assert len(fan.cones) == 1 + 5 + 10 + 10 + 5  # zero cone plus proper faces
     assert fan.is_simplicial()
@@ -144,7 +141,7 @@ def test_normal_fan_shape(simplex_fan):
 
 def test_cross_fan_shape(cross_fan):
     pair, fan = cross_fan
-    assert fan.r == 8
+    assert len({g for c in fan.cones for g in c.generators}) == 8
     assert len(cones_of_dim(fan, 4)) == 16
     assert fan.is_simplicial()
     # smooth fan: every cone is unimodular
@@ -307,8 +304,13 @@ def test_sector_determinism(simplex_fan, monkeypatch):
     assert first == fourth
 
 
-@pytest.mark.parametrize("verts", [SIMPLEX_POLAR, CROSS4], ids=["simplex", "cross4"])
-def test_one_smith_form_per_cone(verts, monkeypatch):
+@pytest.mark.parametrize(
+    "verts,walks",
+    [(SIMPLEX_POLAR, None), (CROSS4, None), (CROSS6, 64)],
+    ids=["simplex", "cross4", "cross6"],
+)
+def test_one_smith_form_per_cone(verts, walks, monkeypatch):
+    # one per maximal cone: every face reads its box from a maximal cone's
     fan = normal_fan(ReflexivePair(LatticePolytope.from_vertices(verts)))
     calls = []
     snf = fan_module.smith_normal_form
@@ -324,8 +326,9 @@ def test_one_smith_form_per_cone(verts, monkeypatch):
     for module in (fan_module, jacobian, linalg, polytope):
         monkeypatch.setattr(module, "rational_rank", no_rank, raising=False)
     sectors = toric_twisted_sectors(fan)
-    nonzero = [c for c in fan.cones if c.generators]
-    assert len(calls) <= len(nonzero)
+    assert len(calls) <= len(cones_of_dim(fan, fan.n))
+    if walks is not None:
+        assert len(calls) == walks
     assert len(set(calls)) == len(calls)  # no cone's matrix factored twice
     assert toric_twisted_sectors(fan) == sectors
     assert len(set(calls)) == len(calls)  # the second pass reads the caches
@@ -339,14 +342,59 @@ def test_one_smith_form_per_cone(verts, monkeypatch):
 def test_box_walk_matches_fraction_odometer(weights, side):
     poly = wps_polytope(list(weights))
     pair = ReflexivePair.from_delta(poly) if side == "dual" else ReflexivePair(poly)
+    fan = normal_fan(pair)
+    boxes = None
+    if fan.is_simplicial():
+        boxes = interior_boxes(fan)
+        assert list(boxes) == [c for c in fan.cones if c.generators]
+    else:
+        with pytest.raises(NotSimplicialError):
+            interior_boxes(fan)
     checked = 0
-    for cone in normal_fan(pair).cones:
+    for cone in fan.cones:
         if not cone.is_simplicial():
             with pytest.raises(NotSimplicialError):
                 box_elements(cone)
             continue
-        checked += assert_box_matches_reference(cone)
+        checked += assert_box_matches_reference(cone, boxes if cone.generators else None)
     assert checked > 0
+
+
+def random_shared_fan(rng, dim, bound, count):
+    """Fan of count random simplicial cones, each after the first sharing all
+    but one generator with an earlier one. The cones may overlap; every box
+    identity still holds cone by cone."""
+    sets = [random_simplicial_cone(rng, dim, bound).generators]
+    while len(sets) < count:
+        gens = list(rng.choice(sets))
+        gens[rng.randrange(dim)] = random_simplicial_cone(rng, dim, bound).generators[0]
+        if smith_rank(gens) == dim and len(oracles.box_points_scan(gens)) <= 60:
+            sets.append(tuple(gens))
+    return fan_from_generator_sets(dim, sets)
+
+
+def test_interior_boxes_match_fraction_odometer_on_random_fans():
+    rng = random.Random(2718)
+    for _ in range(12):
+        dim = rng.choice([2, 3, 3])
+        fan = random_shared_fan(rng, dim, 3, rng.randint(1, 4))
+        boxes = interior_boxes(fan)
+        assert list(boxes) == [c for c in fan.cones if c.generators]
+        for cone in boxes:
+            assert_box_matches_reference(cone, boxes)
+
+
+def test_non_primitive_ray_raises():
+    fan = fan_from_generator_sets(2, [[(2, 0), (0, 1)]])
+    with pytest.raises(AuditError, match="primitive ray"):
+        toric_twisted_sectors(fan)
+
+
+def test_dependent_generators_without_a_face_raise():
+    fan = Fan(2, [Cone(()), Cone(((1, 0),)), Cone(((2, 0),)), Cone(((1, 0), (2, 0)))])
+    assert fan.is_simplicial()  # one dimension per generator until the Smith form is read
+    with pytest.raises(NotSimplicialError):
+        interior_boxes(fan)
 
 
 def test_box_element_numerators():
@@ -356,7 +404,7 @@ def test_box_element_numerators():
     for e in elems:
         assert e.coefficients == tuple(Fraction(c, 5) for c in e.numerators)
         assert e.age == Fraction(sum(e.numerators), 5)
-        assert e.is_interior() == all(0 < c < 1 for c in e.coefficients)
+        assert is_interior(e) == all(0 < c < 1 for c in e.coefficients)
     assert box_elements(Cone(())) == (BoxElement((), 1, ()),)
 
 
@@ -368,6 +416,9 @@ def test_face_dim_disagreeing_with_smith_form_raises():
         box_elements(cone)
     with pytest.raises(AuditError):
         quotient_group_order(cone)
+    fan = Fan(2, [Cone(()), Cone(((1, 0),), face_dim=0), Cone(((2, 0),), face_dim=0), cone])
+    with pytest.raises(AuditError, match="rank 1, not 2"):
+        interior_boxes(fan)
 
 
 def count_smith_forms(monkeypatch):
