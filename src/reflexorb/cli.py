@@ -158,10 +158,8 @@ class _SectorTable:
     coefficients and point."""
 
     def __init__(self, sectors, key, columns):
-        self.groups = []
-        for _, run in groupby(sectors, key):
-            run = list(run)
-            self.groups.append((columns(run[0]), [s.element for s in run]))
+        runs = [list(run) for _, run in groupby(sectors, key)]
+        self.groups = [(columns(run[0]), [s.element for s in run]) for run in runs]
 
     def rows(self, render, slot, age, brackets):
         """Each group's rows as a list of strings. render(row) is the text

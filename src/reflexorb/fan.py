@@ -53,8 +53,8 @@ class Cone:
     @cached_property
     def _smith(self) -> tuple[tuple[int, ...], list[list[int]]]:
         """(nonzero invariant factors, row transform u) of the Smith normal
-        form of the generator matrix, computed once, when the box of a
-        maximal cone is walked."""
+        form of the generator matrix, computed once; interior_boxes reads
+        it for the maximal cones only."""
         d, u, _ = smith_normal_form([list(g) for g in self.generators])
         diagonal = (d[i][i] for i in range(min(len(d), len(d[0]))))
         factors = tuple(x for x in diagonal if x)
@@ -70,9 +70,7 @@ class Cone:
 
     @property
     def dim(self) -> int:
-        if self.face_dim is None:
-            return len(self.generators)
-        return self.face_dim + 1
+        return len(self.generators) if self.face_dim is None else self.face_dim + 1
 
     def is_simplicial(self) -> bool:
         return self.dim == len(self.generators)
