@@ -305,11 +305,11 @@ def test_sector_determinism(simplex_fan, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "verts,walks",
+    "verts,smith_forms",
     [(SIMPLEX_POLAR, None), (CROSS4, None), (CROSS6, 64)],
     ids=["simplex", "cross4", "cross6"],
 )
-def test_one_smith_form_per_cone(verts, walks, monkeypatch):
+def test_one_smith_form_per_cone(verts, smith_forms, monkeypatch):
     # one per maximal cone: every face reads its box from a maximal cone's
     fan = normal_fan(ReflexivePair(LatticePolytope.from_vertices(verts)))
     calls = []
@@ -327,8 +327,8 @@ def test_one_smith_form_per_cone(verts, walks, monkeypatch):
         monkeypatch.setattr(module, "rational_rank", no_rank, raising=False)
     sectors = toric_twisted_sectors(fan)
     assert len(calls) <= len(cones_of_dim(fan, fan.n))
-    if walks is not None:
-        assert len(calls) == walks
+    if smith_forms is not None:
+        assert len(calls) == smith_forms
     assert len(set(calls)) == len(calls)  # no cone's matrix factored twice
     assert toric_twisted_sectors(fan) == sectors
     assert len(set(calls)) == len(calls)  # the second pass reads the caches
