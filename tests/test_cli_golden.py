@@ -4,7 +4,9 @@ Every subcommand runs in json and tsv, on the fan side and with --dual, on
 the golden P(1,1,2,2,2) vertex file, cross4, cube4 and P(1,1,1,6,9), and on
 one --wps input; the wps command runs in its three formats, and
 sectors-toric --dual on P(1,1,12,28,42) and P(1^6) and sectors-cy on the
-fan side of P(1,1,12,28,42) in json and tsv. Each run pins
+fan side of P(1,1,12,28,42) in json and tsv. info, faces, dual and
+reflexive run on cube5 and cross6 in both formats and on both sides, and
+info on the 6-cube and on all 81 lattice points of the 4-cube. Each run pins
 its exit code and the sha256 of its stdout, and runs exactly one convex
 hull. The error paths pin the exit code and the single stderr line. A
 change that alters one byte of output fails here, so output changes are
@@ -12,6 +14,7 @@ made on purpose, with new digests.
 """
 
 import hashlib
+from itertools import product
 
 import pytest
 
@@ -19,7 +22,7 @@ from reflexorb import polytope
 from reflexorb.cli import main
 from reflexorb.polytope import format_vertex_matrix
 
-from test_polytope import CROSS4, CUBE4, P11169, PAIR_INPUTS, SIMPLEX_POLAR
+from test_polytope import CROSS4, CROSS6, CUBE4, P11169, PAIR_INPUTS, SIMPLEX_POLAR
 
 COMMANDS = (
     "info",
@@ -42,6 +45,11 @@ INPUTS = {
     "p11169": format_vertex_matrix(P11169),
     "p1122842": format_vertex_matrix(PAIR_INPUTS["p1,1,12,28,42"]),
     "p1six": format_vertex_matrix([*(tuple(int(i == j) for j in range(5)) for i in range(5)), (-1,) * 5]),
+    "cube5": format_vertex_matrix(list(product((-1, 1), repeat=5))),
+    "cross6": format_vertex_matrix(CROSS6),
+    "cube6": format_vertex_matrix(list(product((-1, 1), repeat=6))),
+    # every lattice point of [-1, 1]^4, so the hull must drop 65 non-vertices
+    "cube4points": format_vertex_matrix(list(product((-1, 0, 1), repeat=4))),
     "doubled": format_vertex_matrix([tuple(2 * x for x in v) for v in SIMPLEX_POLAR]),
     "square": format_vertex_matrix([(-1, -1), (1, -1), (1, 1), (-1, 1)]),
     "flat": format_vertex_matrix([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]),
@@ -68,6 +76,17 @@ def cases():
         yield f"sectors-toric p1six dual {fmt}", ["sectors-toric", "@p1six", "--dual", "--format", fmt]
         # fan side: 19 sectors on edges and 2-faces, denominators up to 14
         yield f"sectors-cy p1122842 fan {fmt}", ["sectors-cy", "@p1122842", "--format", fmt]
+    # hulls that are not simplicial or have many facets: 10, 64 and 12
+    # facets, and a cube given by all of its 81 lattice points
+    for name in ("cube5", "cross6"):
+        for cmd in ("info", "faces", "dual", "reflexive"):
+            for side in ("fan", "dual"):
+                for fmt in FORMATS:
+                    dual = ["--dual"] if side == "dual" else []
+                    yield f"{cmd} {name} {side} {fmt}", [cmd, f"@{name}", *dual, "--format", fmt]
+    yield "info cube6 fan json", ["info", "@cube6", "--format", "json"]
+    for fmt in FORMATS:
+        yield f"info cube4points fan {fmt}", ["info", "@cube4points", "--format", fmt]
     for fmt in ("json", "tsv", "vertices"):
         yield f"wps {fmt}", ["wps", "1", "1", "2", "2", "2", "--format", fmt]
 
@@ -263,6 +282,41 @@ DIGESTS = {
     "wps json": (0, "01d8776c7b62197a32f44a9877b7c5de952b7ce64be745c350060c07168c76fb"),
     "wps tsv": (0, "3dd94db5ed1d43f87ce4e97be9bfd13dc31cd6044efdc49924428dac1d4aa3a7"),
     "wps vertices": (0, "3dd94db5ed1d43f87ce4e97be9bfd13dc31cd6044efdc49924428dac1d4aa3a7"),
+    "info cube5 fan json": (0, "0db25894c23e94cabfe38e622c4839c9a7615cbd5575135e11ef63f078b227db"),
+    "info cube5 fan tsv": (0, "3e177d8259b81848e649970dd2f86e463f1492f975d3683836a5cd0e29e65195"),
+    "info cube5 dual json": (0, "18ad11f810574ca0d7fbfd68c554a29df380b6df2dd9095d24b203c09f45540f"),
+    "info cube5 dual tsv": (0, "847af5ca088cb71723e1eecdc783162c7c09c008420b2771a5e556c52c949072"),
+    "faces cube5 fan json": (0, "edaf5accd694201fd75cb964b5360d6327a86131085d5fd4f94eed932eb48d70"),
+    "faces cube5 fan tsv": (0, "8008829353db482ef579c95e5c68c8f4d565e1fdadf8d77492df23f880e9080a"),
+    "faces cube5 dual json": (0, "d631d41d092bc720adc36b8aa21e1c80f90643735d60a907675785a9a0370369"),
+    "faces cube5 dual tsv": (0, "7b212aafbdcba7f3278dea1533ed3817430f3c1d0f0a6e33e29a9d4c3421ca32"),
+    "dual cube5 fan json": (0, "aa52abf42ec109f8108e1ee7804b284b380e0e8a2606523beecb167204ef0c6e"),
+    "dual cube5 fan tsv": (0, "139793029de13a7c3a1e240925bcb7fbad28cea67d4ec763415cfa6e31d8bbb4"),
+    "dual cube5 dual json": (0, "5677be5c415d7f5608cabe10dfabffa631d8fd9abefe3180168a2711ea861489"),
+    "dual cube5 dual tsv": (0, "139793029de13a7c3a1e240925bcb7fbad28cea67d4ec763415cfa6e31d8bbb4"),
+    "reflexive cube5 fan json": (0, "6b6f05d58fdb9f55a40ad16c213cae705c3d0854cc7e0ca4d891d88f119c230f"),
+    "reflexive cube5 fan tsv": (0, "7c9732f1b2817e8b969b8421e55a1955d2bd0de61464488e76d31da7b9d0f7ce"),
+    "reflexive cube5 dual json": (0, "9bb8ae99796677b412ba87e9a93f6d5e0149d100277af38dccf3734bcc0680ea"),
+    "reflexive cube5 dual tsv": (0, "25b7714e63bb9ce6a33f1f446907fc49fdaaa8d48dd58acc26ed6a7844d2809b"),
+    "info cross6 fan json": (0, "f83c6eee07b68239edf3bc400fff0dd063abcd4c77d0f4c42b5d90d7bcb76886"),
+    "info cross6 fan tsv": (0, "66ebb07c6579d6c900b9fe394685c027d8389881d55ac8b0fb18dcb05372cc65"),
+    "info cross6 dual json": (0, "6f2a644666ea0327dc4f7bff95f0590f9d4ac6e9348524ff297f31dc42ae9cff"),
+    "info cross6 dual tsv": (0, "4238e6f7ce50c80730b91553a2ec2dc3d82c335f7ff96a33df1a021dc60c6e96"),
+    "faces cross6 fan json": (0, "08c2cc1bc5d0d1ebef6e306aeb6baf3c621515669feb2e417860245690bf7d03"),
+    "faces cross6 fan tsv": (0, "4a007079719b6daa564a3a6811da87107d916629a5756c00c47cd663c8a35e4b"),
+    "faces cross6 dual json": (0, "2005e63ad6571542533a4c4b8c9130ca76ef6955283fd52208c3715a63056311"),
+    "faces cross6 dual tsv": (0, "dea7ea4a35718b00ade0399b8190e65d5e00fbeeff15d3946a9129c24a854ea9"),
+    "dual cross6 fan json": (0, "c40fdf7654f79de7334ac5943f9c7e28c784a7d4050e3b1a8c44f957b1d80c7a"),
+    "dual cross6 fan tsv": (0, "82db234c79844cad2f27415ad71f13517d6c281c804e471109433824f61521f4"),
+    "dual cross6 dual json": (0, "71d0dbd81e4a94c08968a869d6d921ec85538c509d564a957cb430cb8ce9597b"),
+    "dual cross6 dual tsv": (0, "82db234c79844cad2f27415ad71f13517d6c281c804e471109433824f61521f4"),
+    "reflexive cross6 fan json": (0, "ac38af444384ff01238bc10ebc18d0440c33f8f6240532178a0d4d229ae89c26"),
+    "reflexive cross6 fan tsv": (0, "ade79a8fe1cd79c3e5acb8351cec1e8f17c03f3015294e5fe1f44d8e6d9de6bf"),
+    "reflexive cross6 dual json": (0, "d46b04f69d5ea4a36b79060dd0f5882d549c2d967771df7b6b8037e454adba6e"),
+    "reflexive cross6 dual tsv": (0, "f9644bd6c0dca395e2c711822a83a5d071cfec44efc0cfdde3c16a77065d1c4f"),
+    "info cube6 fan json": (0, "676602c6c5ad30e4b892996199b9458adf47cef1436a736a097c93a411e6af1b"),
+    "info cube4points fan json": (0, "5792ea13a7c3e73de45ef7e9418c89635b62ba94809779ada86d88ba22e89aa5"),
+    "info cube4points fan tsv": (0, "c7de60612b1412df8fc3c096e1d695aa96f1957794c119293c6d39feff57d4c9"),
 }
 
 # case id -> (argv, exit code, stderr)
