@@ -194,34 +194,3 @@ def rank_mod_p(m, p: int) -> int:
         if rank == rows:
             break
     return rank
-
-
-def rational_kernel_basis(m) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : m x = 0} over the rationals (column kernel)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Fraction(x) for x in row] for row in m]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -a[row_idx][fc]
-        basis.append(tuple(vec))
-    return basis

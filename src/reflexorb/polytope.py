@@ -1,7 +1,9 @@
 """Lattice polytopes with exact arithmetic.
 
-A polytope is built from integer vertex lists via an incremental convex hull
-over the rationals. Facets carry primitive integer normals in the convention
+A polytope is built from integer vertex lists by a double-description
+convex hull in integers, which adds the points one at a time and keeps each
+facet with the points it passes through. Facets carry primitive integer
+normals in the convention
 
     <x, normal> >= -offset    for every x in the polytope,
 
@@ -15,25 +17,13 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 
 from .errors import AuditError, NotFullDimensionalError, NotReflexiveError, VertexFileError
-from .linalg import rational_kernel_basis, rational_rank
+from .linalg import rational_rank
 
 Vector = tuple[int, ...]
-
-
-def _primitive(vec) -> Vector:
-    """Scale a rational vector to a primitive integer vector (same ray)."""
-    denoms = [Fraction(x).denominator for x in vec]
-    scale = lcm(*denoms) if denoms else 1
-    ints = [int(Fraction(x) * scale) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in ints)
 
 
 @dataclass(frozen=True)
@@ -375,30 +365,78 @@ def _enumerate_points(vertices, facets, k):
     return tuple(points), {mask: tuple(sorted(pts)) for mask, pts in groups.items()}
 
 
-def _hyperplane_through(pts, n):
-    """Primitive integer (normal, rhs) with <normal, p> == rhs for all pts.
+def _seed_functionals(rows):
+    """Columns of the adjugate of the square integer matrix `rows`, times
+    the sign of its determinant: the functional in column k is zero on
+    every row but row k and positive on row k.
 
-    The points must be n affinely independent points in dimension n.
+    One fraction-free Gauss-Jordan elimination of [rows | I] (Bareiss: each
+    step's division is exact) ends at [d I | d rows^-1] with d = +-det.
     """
-    if n == 1:
-        return (1,), pts[0][0]
-    base = pts[0]
-    rows = [[p[i] - base[i] for i in range(n)] for p in pts[1:]]
-    basis = rational_kernel_basis(rows)
-    if len(basis) != 1:
-        raise AuditError("facet points are not affinely independent")
-    normal = _primitive(basis[0])
-    rhs = sum(a * b for a, b in zip(normal, base))
-    return normal, rhs
+    m = len(rows)
+    a = [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(rows)]
+    prev = 1
+    for c in range(m):
+        piv = next((r for r in range(c, m) if a[r][c]), None)
+        if piv is None:
+            raise AuditError("seed points are not affinely independent")
+        a[c], a[piv] = a[piv], a[c]
+        top = a[c]
+        for r in range(m):
+            if r != c:
+                row = a[r]
+                f = row[c]
+                a[r] = [(top[c] * x - f * y) // prev for x, y in zip(row, top)]
+        prev = top[c]
+    sign = 1 if prev > 0 else -1
+    return [[sign * a[r][m + k] for r in range(m)] for k in range(m)]
+
+
+def _value(f, p):
+    """f(p) for the functional f = (normal..., offset)."""
+    return sum(map(mul, f, p)) + f[-1]
+
+
+def _add_point(facets, p, bit, n):
+    """The facets of the hull after point p (bit 1 << its index) joins it.
+
+    facets is a list of (functional, mask) pairs, mask holding the points
+    added so far that the functional vanishes on. When p lies beyond some
+    facets, each pair F, G with F(p) > 0 > G(p) that is adjacent (their
+    common points number at least n - 1 and lie on no other facet; Fukuda
+    and Prodon's combinatorial test) gives the new facet F(p) G - G(p) F
+    through p and their common points, and the facets below p go.
+    """
+    vals = [_value(f, p) for f, _ in facets]
+    kept = [(f, m | bit if v == 0 else m) for (f, m), v in zip(facets, vals) if v >= 0]
+    if len(kept) == len(facets):
+        return kept
+    masks = [m for _, m in facets]
+    above = [(f, m, v) for (f, m), v in zip(facets, vals) if v > 0]
+    for (g, mg), vg in zip(facets, vals):
+        if vg >= 0:
+            continue
+        for f, mf, vf in above:
+            common = mf & mg
+            if common.bit_count() < n - 1 or sum(m & common == common for m in masks) > 2:
+                continue
+            h = [vf * y - vg * x for x, y in zip(f, g)]
+            g_h = gcd(*h)
+            kept.append(([x // g_h for x in h], common | bit))
+    return kept
 
 
 def _convex_hull(pts, n):
-    """Incremental convex hull with a triangulated boundary.
+    """Double-description convex hull of sorted, distinct integer points
+    (Motzkin et al. 1953; Fukuda and Prodon 1996), in integers.
 
-    Returns (vertices, inequalities); inequalities are (normal, offset) pairs
-    in the <x, normal> >= -offset convention with primitive integer normals.
+    The seed is the first n + 1 affinely independent points; its facets are
+    the columns of one adjugate. The other points join one at a time
+    through `_add_point`. Returns (vertices, inequalities): the vertices in
+    input order, and the (normal, offset) pairs of the facets, sorted, in
+    the <x, normal> >= -offset convention with primitive integer normals.
+    A point is a vertex when the facets through it meet in it alone.
     """
-    # affinely independent seed simplex: each point that raises the rank
     seed = [0]
     for i in range(1, len(pts)):
         diffs = [[a - b for a, b in zip(pts[j], pts[0])] for j in seed[1:] + [i]]
@@ -410,66 +448,32 @@ def _convex_hull(pts, n):
         raise NotFullDimensionalError(
             f"points span an affine subspace of dimension {len(seed) - 1} < {n}"
         )
-    center = tuple(
-        Fraction(sum(pts[i][j] for i in seed), n + 1) for j in range(n)
-    )
+    seeded = sum(1 << i for i in seed)
+    facets = []
+    for i, f in zip(seed, _seed_functionals([[*pts[i], 1] for i in seed])):
+        if _value(f, pts[i]) <= 0 or any(_value(f, pts[j]) for j in seed if j != i):
+            raise AuditError("a seed facet does not pass through exactly the other seed points")
+        g = gcd(*f)
+        facets.append(([x // g for x in f], seeded & ~(1 << i)))
+    for i, p in enumerate(pts):
+        if not seeded >> i & 1:
+            facets = _add_point(facets, p, 1 << i, n)
 
-    def oriented(ids):
-        normal, rhs = _hyperplane_through([pts[i] for i in ids], n)
-        cval = sum(a * b for a, b in zip(normal, center))
-        if cval == rhs:
-            raise AuditError("degenerate facet through the interior point")
-        if cval > rhs:
-            normal = tuple(-x for x in normal)
-            rhs = -rhs
-        # outward form <normal, x> <= rhs with interior strictly below
-        return normal, rhs
-
-    simplices: dict[frozenset[int], tuple[Vector, int]] = {}
-    for drop in seed:
-        key = frozenset(i for i in seed if i != drop)
-        simplices[key] = oriented(sorted(key))
-
-    for i in range(len(pts)):
-        if i in seed:
-            continue
-        p = pts[i]
-        visible = [
-            key
-            for key, (normal, rhs) in simplices.items()
-            if sum(a * b for a, b in zip(normal, p)) > rhs
-        ]
-        if not visible:
-            continue
-        ridge_count: dict[frozenset[int], int] = {}
-        for key in visible:
-            for drop in key:
-                ridge = key - {drop}
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        for key in visible:
-            del simplices[key]
-        for ridge, cnt in ridge_count.items():
-            if cnt == 1:
-                new_key = ridge | {i}
-                simplices[new_key] = oriented(sorted(new_key))
-
-    for normal, rhs in simplices.values():
-        for p in pts:
-            if sum(a * b for a, b in zip(normal, p)) > rhs:
-                raise AuditError("convex hull leaves an input point beyond a facet")
-    inequalities = sorted(
-        {(tuple(-x for x in normal), rhs) for normal, rhs in simplices.values()}
-    )
-    vertices = []
-    for p in pts:
-        active = [
-            normal
-            for normal, offset in inequalities
-            if sum(a * b for a, b in zip(normal, p)) == -offset
-        ]
-        if len(active) >= n and rational_rank(list(map(list, active))) == n:
-            vertices.append(p)
-    return tuple(vertices), tuple(inequalities)
+    inequalities = []
+    meet = [-1] * len(pts)  # the points on every facet through pts[i]
+    for f, _ in facets:
+        vals = [_value(f, p) for p in pts]
+        if min(vals) < 0:
+            raise AuditError("convex hull leaves an input point beyond a facet")
+        tight = [i for i, v in enumerate(vals) if v == 0]
+        if len(tight) < n:
+            raise AuditError(f"a hull facet passes through fewer than {n} input points")
+        mask = sum(1 << i for i in tight)
+        for i in tight:
+            meet[i] &= mask
+        inequalities.append((tuple(f[:n]), f[n]))
+    vertices = tuple(p for i, p in enumerate(pts) if meet[i] == 1 << i)
+    return vertices, tuple(sorted(inequalities))
 
 
 # -- reflexive pairs -----------------------------------------------------------

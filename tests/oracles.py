@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive and independent of the library under
 test: determinants by permutation expansion, rank by minor search, hull
-membership by Caratheodory simplex search, box elements by scanning integer
-points of the half-open parallelepiped, and lattice point counts for weighted
-projective constructions by direct exponent-vector enumeration.
+membership by Caratheodory simplex search, facets by trying the hyperplane
+through every n points, box elements by scanning integer points of the
+half-open parallelepiped, and lattice point counts for weighted projective
+constructions by direct exponent-vector enumeration.
 
 Run as a script to print the frozen reference table:
 
@@ -12,21 +13,33 @@ Run as a script to print the frozen reference table:
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
+from math import gcd
+
+
+@cache
+def _signed_permutations(n):
+    """(permutation, sign) for every permutation of range(n)."""
+    out = []
+    for perm in permutations(range(n)):
+        # count inversions for the sign
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        out.append((perm, -1 if inv % 2 else 1))
+    return tuple(out)
 
 
 def det_perm(m):
     """Determinant by signed permutation expansion. Exact, O(n!)."""
     n = len(m)
-    assert all(len(row) == n for row in m)
+    if any(len(row) != n for row in m):
+        raise AssertionError("determinant requires a square matrix")
     total = 0
-    for perm in permutations(range(n)):
-        # count inversions for the sign
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = 1
+    for perm, sign in _signed_permutations(n):
+        term = sign
         for i in range(n):
             term *= m[i][perm[i]]
-        total += -term if inv % 2 else term
+        total += term
     return total
 
 
@@ -67,6 +80,31 @@ def in_hull(points, p):
         if ok:
             return True
     return False
+
+
+def brute_facets(points):
+    """Facets of conv(points), full-dimensional, as sorted (normal, offset)
+    pairs with <x, normal> >= -offset on the hull and primitive normals.
+
+    Every n of the points span a candidate hyperplane: expanding
+    det [[x, 1], [q_1, 1], ..., [q_n, 1]] along its first row gives the
+    functional that vanishes on q_1..q_n, with cofactors from `det_perm`.
+    A hyperplane is kept when every point lies on one side of it."""
+    pts = sorted({tuple(p) for p in points})
+    n = len(pts[0])
+    found = set()
+    for sub in combinations(pts, n):
+        rows = [[*q, 1] for q in sub]
+        f = [(-1) ** j * det_perm([r[:j] + r[j + 1 :] for r in rows]) for j in range(n + 1)]
+        if not any(f):
+            continue  # the n points are affinely dependent
+        g = gcd(*f)
+        vals = [sum(a * b for a, b in zip(f, q)) + f[n] for q in pts]
+        if min(vals) >= 0:
+            found.add((tuple(a // g for a in f[:n]), f[n] // g))
+        elif max(vals) <= 0:
+            found.add((tuple(-a // g for a in f[:n]), -f[n] // g))
+    return sorted(found)
 
 
 def _det_frac(m):
@@ -131,7 +169,8 @@ def box_points_scan(gens):
     found = []
     if d == n:
         det = det_perm([list(g) for g in gens])
-        assert det != 0
+        if det == 0:
+            raise AssertionError("generators must be linearly independent")
         adj = _adjugate([list(g) for g in gens])
         if det < 0:
             det = -det

@@ -1,7 +1,9 @@
 """Determinant witness that the Euler rows of the Jacobian rank matrix are
-independent, the two row blocks of that matrix on their own, and a face
-lookup by vertex ids. Used only by the tests; the oracle itself certifies
-its rank."""
+independent, the two row blocks of that matrix on their own, a rational
+kernel basis, and a face lookup by vertex ids. Used only by the tests; the
+oracle itself certifies its rank."""
+
+from fractions import Fraction
 
 from reflexorb.jacobian import assemble_matrix, facet_interior_pairs, lifted_ray_subset
 from reflexorb.linalg import rational_rank
@@ -32,6 +34,37 @@ def integer_determinant(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def rational_kernel_basis(m) -> list[tuple[Fraction, ...]]:
+    """Basis of {x : m x = 0} over the rationals (column kernel)."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [[Fraction(x) for x in row] for row in m]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -a[row_idx][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
 def euler_rows(pair, coeffs, rays=None):
     """The Euler rows alone, for the lifted ray subset or the given rays."""
     return assemble_matrix(pair, coeffs, rays, ())
@@ -51,7 +84,8 @@ def independent_vertex_subset(pair):
             chosen.append(v)
             if len(chosen) == pair.n:
                 break
-    assert len(chosen) == pair.n, "delta vertices failed to span"
+    if len(chosen) != pair.n:
+        raise AssertionError("delta vertices failed to span")
     return tuple(chosen) + ((0,) * pair.n,)
 
 
@@ -72,13 +106,15 @@ def verify_matrix_p_nonsingular(pair, coeffs=None):
     monomials = independent_vertex_subset(pair)
     e = matrix_e(pair, monomials)
     det_e = integer_determinant(e)
-    assert det_e != 0, "pairing matrix unexpectedly singular"
+    if det_e == 0:
+        raise AssertionError("pairing matrix unexpectedly singular")
     if coeffs is not None:
         p = [[coeffs[m] * entry for entry in row] for m, row in zip(monomials, e)]
         scale = 1
         for m in monomials:
             scale *= coeffs[m]
-        assert integer_determinant(p) == scale * det_e
+        if integer_determinant(p) != scale * det_e:
+            raise AssertionError("scaling the rows did not scale the determinant by their product")
     return True
 
 

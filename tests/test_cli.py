@@ -340,6 +340,52 @@ def test_exit_code_audit(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def rotate_seed_facets(monkeypatch):
+    # each seed point gets its neighbour's facet
+    real = polytope._seed_functionals
+    monkeypatch.setattr(polytope, "_seed_functionals", lambda rows: real(rows)[1:] + real(rows)[:1])
+
+
+def skip_first_added_point(monkeypatch):
+    real = polytope._add_point
+    skipped = []
+
+    def add_point(facets, p, bit, n):
+        if not skipped:
+            skipped.append(p)
+            return facets
+        return real(facets, p, bit, n)
+
+    monkeypatch.setattr(polytope, "_add_point", add_point)
+
+
+def add_a_shifted_facet(monkeypatch):
+    # valid everywhere, but tight on no input point
+    real = polytope._add_point
+
+    def add_point(facets, p, bit, n):
+        out = real(facets, p, bit, n)
+        f, _ = out[0]
+        return [*out, ([*f[:-1], f[-1] + 1], 0)]
+
+    monkeypatch.setattr(polytope, "_add_point", add_point)
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (rotate_seed_facets, "a seed facet does not pass through exactly the other seed points"),
+        (skip_first_added_point, "convex hull leaves an input point beyond a facet"),
+        (add_a_shifted_facet, "a hull facet passes through fewer than 4 input points"),
+    ],
+    ids=["seed", "beneath", "tight"],
+)
+def test_exit_code_hull_audits(tamper, message, tmp_path, capsys, monkeypatch):
+    tamper(monkeypatch)
+    code, out, err = run_cli(["info", write_poly(tmp_path, "cross.txt", CROSS4)], capsys)
+    assert (code, out, err) == (6, "", f"reflexorb: {message}\n")
+
+
 def test_exit_code_audit_hodge_split(capsys, monkeypatch):
     # an h11_orb one too high must trip the divisor audit, also under python -O
     real = hodge.h11_orb

@@ -15,7 +15,7 @@ from reflexorb.jacobian import (
     lifted_ray_subset,
     monomial_basis,
 )
-from reflexorb.linalg import rational_kernel_basis, rational_rank
+from reflexorb.linalg import rational_rank
 
 from pairing import (
     euler_rows,
@@ -23,6 +23,7 @@ from pairing import (
     independent_vertex_subset,
     integer_determinant,
     matrix_e,
+    rational_kernel_basis,
     verify_matrix_p_nonsingular,
 )
 from test_hodge import (

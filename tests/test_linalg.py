@@ -5,12 +5,11 @@ import oracles
 from reflexorb.linalg import (
     identity_matrix,
     rank_mod_p,
-    rational_kernel_basis,
     rational_rank,
     smith_normal_form,
 )
 
-from pairing import integer_determinant
+from pairing import integer_determinant, rational_kernel_basis
 
 SIMPLEX_RAYS = [
     (-1, -2, -2, -2),

@@ -528,3 +528,67 @@ def test_sheared_golden_hodge_numbers():
         return (rep.h11_untwisted, rep.h11_orb, rep.hn21_untwisted, rep.hn21_orb)
 
     assert numbers([shear(v) for v in SIMPLEX_POLAR]) == numbers(SIMPLEX_POLAR) == (1, 2, 83, 86)
+
+
+# -- the hull against a brute-force facet oracle ----------------------------------
+
+
+def _random_points(rng, n):
+    """At most n + 12 points of [-3, 3]^n: repeats, midpoints (inside the
+    hull or on its boundary), often several points on one hyperplane, and
+    now and then all of them."""
+    pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 8))]
+    if rng.random() < 0.4:
+        i, c = rng.randrange(n), rng.randint(-3, 3)
+        for j in rng.sample(range(len(pts)), rng.randint(1, len(pts))):
+            pts[j] = pts[j][:i] + (c,) + pts[j][i + 1 :]
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.choice(pts), rng.choice(pts)
+        odd = any((x + y) % 2 for x, y in zip(a, b))
+        pts.append(a if odd else tuple((x + y) // 2 for x, y in zip(a, b)))
+    return pts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hull_matches_brute_force_facets_and_vertices(n):
+    rng = random.Random(300 + n)
+    for _ in range(75):
+        pts = _random_points(rng, n)
+        diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+        if not diffs or oracles.rank_by_minors(diffs) < n:
+            with pytest.raises(NotFullDimensionalError):
+                LatticePolytope.from_vertices(pts)
+            continue
+        poly = LatticePolytope.from_vertices(pts)
+        facets = oracles.brute_facets(pts)
+        assert [(f.normal, f.offset) for f in poly.facets] == facets
+        # every point lies in the hull of the vertices, and each vertex is
+        # cut out by the normals of the oracle's facets through it
+        verts = poly.vertices
+        assert verts == tuple(sorted(set(verts) & set(pts)))
+        assert all(oracles.in_hull(verts, p) for p in set(pts) - set(verts))
+        for v in verts:
+            through = [list(a) for a, b in facets if _dot(a, v) == -b]
+            assert oracles.rank_by_minors(through) == n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_hull_of_unimodular_cube_and_cross_images(n):
+    rng = random.Random(400 + n)
+    units = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    cube = list(product((-1, 1), repeat=n))
+    small = list(product((-1, 0, 1), repeat=n))
+    shapes = [
+        # vertices, other lattice points of the polytope, facets
+        (cube, [p for p in small if 0 in p], sorted((u, 1) for u in units)),
+        (units, [(0,) * n], sorted((s, 1) for s in cube)),
+    ]
+    for verts, inner, facets in shapes:
+        for _ in range(3):
+            m = _unimodular(rng, n)
+            extra = rng.sample(inner, min(len(inner), 2 * n))
+            image = LatticePolytope.from_vertices([_apply(m, p) for p in verts + extra])
+            assert image.vertices == tuple(sorted(_apply(m, v) for v in verts))
+            # <y, a> + b >= 0 on the image is <x, m^T a> + b >= 0 on the polytope
+            pulled = [(_apply(list(zip(*m)), f.normal), f.offset) for f in image.facets]
+            assert sorted(pulled) == facets
