@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -359,14 +360,19 @@ def skip_first_added_point(monkeypatch):
     monkeypatch.setattr(polytope, "_add_point", add_point)
 
 
-def add_a_shifted_facet(monkeypatch):
-    # valid everywhere, but tight on no input point
+def add_a_ridge_functional(monkeypatch):
+    # at cross4's last point, the sum of two adjacent facets: beneath every
+    # point, but tight only on the n - 1 vertices of their common ridge
     real = polytope._add_point
 
     def add_point(facets, p, bit, n):
         out = real(facets, p, bit, n)
-        f, _ = out[0]
-        return [*out, ([*f[:-1], f[-1] + 1], 0)]
+        if bit == 1 << 7:
+            (f, mf), (g, mg) = next(
+                (a, b) for a, b in combinations(out, 2) if (a[1] & b[1]).bit_count() == n - 1
+            )
+            out.append(([x + y for x, y in zip(f, g)], mf & mg))
+        return out
 
     monkeypatch.setattr(polytope, "_add_point", add_point)
 
@@ -376,7 +382,7 @@ def add_a_shifted_facet(monkeypatch):
     [
         (rotate_seed_facets, "a seed facet does not pass through exactly the other seed points"),
         (skip_first_added_point, "convex hull leaves an input point beyond a facet"),
-        (add_a_shifted_facet, "a hull facet passes through fewer than 4 input points"),
+        (add_a_ridge_functional, "a hull facet passes through fewer than 4 input points"),
     ],
     ids=["seed", "beneath", "tight"],
 )
