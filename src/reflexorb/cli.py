@@ -221,7 +221,7 @@ def _cmd_info(pair, args):
 def _cmd_reflexive(poly, args):
     if not poly.is_reflexive():
         return {"reflexive": False}, EXIT_NOT_REFLEXIVE
-    _pair_from(poly, args.dual)  # audits the face lattice the pairing reads
+    _pair_from(poly, args.dual)  # audits the face lattice the fan reads
     return {"reflexive": True}, EXIT_OK
 
 

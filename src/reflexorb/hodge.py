@@ -6,16 +6,27 @@ count divisor classes, while lattice points of the dual polytope count
 anticanonical monomials. Formulas assume ambient dimension n >= 4 (hypersurface
 dimension >= 3); lower dimensions raise unless force is passed, which computes
 the same expressions and flags the report.
+
+Batyrev's face sums (alg-geom/9310003) are read from the point groups a
+polytope keeps by facet mask, with no face lattice. A point on exactly one
+facet is interior to it, and a point on exactly two facets i, j is interior
+to the ridge they share, since a face of codimension k lies on at least k
+facets (the diamond property). Vertex i of either polytope is the normal of
+facet i of the other, so that ridge is dual to the edge between vertices i
+and j of the other polytope, and the interior points of the face dual to a
+polar face F are the dual polytope's group at the mask of F's vertex ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import sub
 
 from .errors import AuditError, HypothesisError, NotSimplicialError
 from .fan import BoxElement, interior_boxes, normal_fan
-from .polytope import ReflexivePair
+from .polytope import LatticePolytope, ReflexivePair
 
 
 def _guard_dim(pair: ReflexivePair, force: bool):
@@ -55,6 +66,7 @@ def cy_twisted_sectors(pair: ReflexivePair, force: bool = False) -> tuple[CySect
     if not fan.is_simplicial():
         raise NotSimplicialError("twisted sectors require a simplicial normal fan")
     polar = pair.delta_polar
+    dual_groups = pair.delta._incidence()
     boxes = {c.face_ids: box for c, box in interior_boxes(fan).items()}
     out = []
     for dim in range(1, pair.n - 1):
@@ -62,8 +74,8 @@ def cy_twisted_sectors(pair: ReflexivePair, force: bool = False) -> tuple[CySect
             interior, order = boxes[face.vertex_ids]
             if not interior:
                 continue
-            dual = pair.dual_face(face)
-            dual_interior = len(dual.interior_lattice_points())
+            dual_mask = sum(1 << i for i in face.vertex_ids)
+            dual_interior = len(dual_groups.get(dual_mask, ()))
             components = dual_interior + 1 if dim == pair.n - 2 else 1
             face_interior = set(face.interior_lattice_points())
             for elem in interior:
@@ -87,6 +99,21 @@ def cy_twisted_sectors(pair: ReflexivePair, force: bool = False) -> tuple[CySect
     return tuple(out)
 
 
+def _face_sum(p: LatticePolytope, q: LatticePolytope, twisted: bool) -> int:
+    """l(p) - n - 1 minus the facet-interior points of p; when twisted, plus
+    the interior points of each ridge of p times those of its dual edge of
+    q, the polar of p."""
+    total = len(p.lattice_points()) - p.n - 1
+    for mask, points in p._incidence().items():
+        facets = mask.bit_count()
+        if facets == 1:
+            total -= len(points)
+        elif facets == 2 and twisted:
+            i, j = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+            total += len(points) * (gcd(*map(sub, q.vertices[i], q.vertices[j])) - 1)
+    return total
+
+
 def h11_untwisted(pair: ReflexivePair, force: bool = False) -> int:
     """Picard rank of the ambient variety restricted to the hypersurface:
     ray count minus ambient dimension."""
@@ -97,41 +124,19 @@ def h11_untwisted(pair: ReflexivePair, force: bool = False) -> int:
 def h11_orb(pair: ReflexivePair, force: bool = False) -> int:
     """Orbifold divisor-class count of the hypersurface."""
     _guard_dim(pair, force)
-    polar = pair.delta_polar
-    n = pair.n
-    total = len(polar.lattice_points()) - n - 1
-    for facet in polar.faces(n - 1):
-        total -= len(facet.interior_lattice_points())
-    for face in polar.faces(n - 2):
-        star = len(face.interior_lattice_points())
-        if star:
-            total += star * len(pair.dual_face(face).interior_lattice_points())
-    return total
+    return _face_sum(pair.delta_polar, pair.delta, True)
 
 
 def hn21_untwisted(pair: ReflexivePair, force: bool = False) -> int:
     """Polynomial deformation count of the hypersurface."""
     _guard_dim(pair, force)
-    delta = pair.delta
-    n = pair.n
-    total = len(delta.lattice_points()) - n - 1
-    for facet in delta.faces(n - 1):
-        total -= len(facet.interior_lattice_points())
-    return total
+    return _face_sum(pair.delta, pair.delta_polar, False)
 
 
 def hn21_orb(pair: ReflexivePair, force: bool = False) -> int:
     """Full complex-structure count, including twisted contributions."""
     _guard_dim(pair, force)
-    total = hn21_untwisted(pair, force)
-    delta = pair.delta
-    for face in delta.faces(pair.n - 2):
-        star = len(face.interior_lattice_points())
-        if star:
-            total += star * len(
-                pair.dual_face_of_delta(face).interior_lattice_points()
-            )
-    return total
+    return _face_sum(pair.delta, pair.delta_polar, True)
 
 
 @dataclass(frozen=True)
@@ -208,14 +213,20 @@ class MirrorReport:
     match: bool | None
 
 
+def _simplicial(p: LatticePolytope) -> bool:
+    """True when every facet of p holds exactly n vertices, so the fan over
+    the faces of p is simplicial."""
+    return all(sum(f.value(v) == 0 for v in p.vertices) == p.n for f in p.facets)
+
+
 def mirror_check(pair: ReflexivePair, force: bool = False) -> MirrorReport:
     """Evaluate (h11_orb, hn21_orb) on the pair and on the role-swapped pair
     and test the expected exchange. Requires both normal fans simplicial."""
     _guard_dim(pair, force)
-    if not normal_fan(pair).is_simplicial():
+    if not _simplicial(pair.delta_polar):
         return MirrorReport(False, "normal fan is not simplicial", None, None, None)
     swapped_pair = pair.swapped()
-    if not normal_fan(swapped_pair).is_simplicial():
+    if not _simplicial(swapped_pair.delta_polar):
         return MirrorReport(
             False, "swapped normal fan is not simplicial", None, None, None
         )

@@ -4,9 +4,10 @@ For a random integer-coefficient anticanonical hypersurface, the graded
 piece of its Jacobian ideal in the homogeneous coordinate ring has rank
 gamma = n + 1 + sum of facet interior point counts, so the quotient has
 dimension l(Delta) - gamma. That quotient dimension must agree with the
-combinatorial untwisted deformation count; this module checks the
-agreement by exact integer linear algebra, independently of the face-sum
-formulas.
+combinatorial untwisted deformation count. The rank, found by exact integer
+linear algebra, certifies that the gamma generators are independent; l(Delta)
+and the facet interiors come from the same point enumeration as the face
+sums, so the agreement itself then follows.
 """
 
 from __future__ import annotations
@@ -55,18 +56,14 @@ def lifted_ray_subset(pair: ReflexivePair) -> tuple[Vector, ...]:
 def facet_interior_pairs(pair: ReflexivePair) -> tuple[tuple[Vector, Vector], ...]:
     """(ray, interior point of its dual facet) pairs, in ray order then
     lexicographic point order. Labels the facet interior rows of
-    assemble_matrix."""
-    out = []
-    for vertex in pair.delta_polar.faces(0):
-        (ray,) = vertex.vertices()
-        for point in pair.dual_face(vertex).interior_lattice_points():
-            out.append((ray, point))
-    return tuple(out)
-
-
-def gamma(pair: ReflexivePair) -> int:
-    """Target rank: n + 1 + total facet interior points of delta."""
-    return pair.n + 1 + len(facet_interior_pairs(pair))
+    assemble_matrix. Ray i is the normal of facet i of delta, whose
+    interior points are the ones on that facet alone."""
+    groups = pair.delta._incidence()
+    return tuple(
+        (ray, point)
+        for i, ray in enumerate(pair.delta_polar.vertices)
+        for point in groups.get(1 << i, ())
+    )
 
 
 def assemble_matrix(pair: ReflexivePair, coeffs, rays=None, pairs=None) -> list[list[int]]:

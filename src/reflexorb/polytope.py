@@ -72,7 +72,6 @@ class LatticePolytope:
         self.facets: tuple[FacetInequality, ...] = tuple(facets)
         self.n: int = len(self.vertices[0]) if self.vertices else 0
         self._faces_by_dim: dict[int, tuple[Face, ...]] | None = None
-        self._face_by_ids: dict[tuple[int, ...], Face] = {}
         # k -> (points of the k-fold dilate, the same points by facet mask)
         self._points_cache: dict[int, tuple[tuple[Vector, ...], dict[int, tuple[Vector, ...]]]] = {}
 
@@ -162,7 +161,7 @@ class LatticePolytope:
         return out
 
     def _build_face_lattice(self):
-        """Fill `_faces_by_dim` and `_face_by_ids` from facet incidence.
+        """Fill `_faces_by_dim` from facet incidence.
 
         A face is a nonempty intersection of facets, held as a vertex
         bitmask. Its dimension is 1 + the largest dimension of its
@@ -211,7 +210,6 @@ class LatticePolytope:
             d: tuple(sorted(faces, key=lambda f: f.vertex_ids))
             for d, faces in sorted(by_dim.items())
         }
-        self._face_by_ids = {f.vertex_ids: f for faces in by_dim.values() for f in faces}
 
 
 # -- lattice point enumeration ------------------------------------------------------
@@ -480,13 +478,16 @@ def _convex_hull(pts, n):
 
 
 class ReflexivePair:
-    """A reflexive polytope together with its polar dual and face pairing.
+    """A reflexive polytope together with its polar dual.
 
     delta_polar lives in the fan lattice (its vertices are the rays of the
     normal fan); delta is the polar, whose lattice points index anticanonical
     monomials. Vertex i of delta is the normal of facet i of delta_polar and
-    the other way round, so the face paired with F is the face of the other
-    polytope whose vertex ids are F's active facets.
+    the other way round. So the points of either polytope that lie on
+    exactly the facets with ids S are the interior points of the face dual
+    to the face of the other polytope with vertex ids S, and the Hodge sums
+    read the faces of delta off its points grouped by facet mask, with no
+    face lattice.
     """
 
     def __init__(self, delta_polar: LatticePolytope):
@@ -495,8 +496,13 @@ class ReflexivePair:
         self.delta_polar = delta_polar
         self.delta = delta_polar.polar_dual()
         self.n = delta_polar.n
-        # builds and audits the face lattice the pairing reads
+        # builds and audits the face lattice the fan reads
         delta_polar.faces()
+        # delta's face lattice is not built, so its vertices are checked here
+        for f in self.delta.facets:
+            for v in self.delta.vertices:
+                if f.value(v) < 0:
+                    raise AuditError(f"vertex {v} violates the facet with normal {f.normal}")
 
     @classmethod
     def from_delta(cls, delta: LatticePolytope) -> "ReflexivePair":
@@ -510,23 +516,6 @@ class ReflexivePair:
         pair = copy.copy(self)
         pair.delta_polar, pair.delta = self.delta, self.delta_polar
         return pair
-
-    def dual_face(self, face: Face) -> Face:
-        """The face of delta paired with a proper face of delta_polar."""
-        return self._pair(face, self.delta)
-
-    def dual_face_of_delta(self, face: Face) -> Face:
-        """The face of delta_polar paired with a proper face of delta."""
-        return self._pair(face, self.delta_polar)
-
-    def _pair(self, face, dst):
-        if face.dim >= self.n:
-            raise ValueError("only proper faces have duals")
-        dst.faces()
-        dual = dst._face_by_ids[face.active_facets]
-        if face.dim + dual.dim != self.n - 1:
-            raise AuditError("face pairing dimension mismatch")
-        return dual
 
 
 # -- vertex matrix text format --------------------------------------------------

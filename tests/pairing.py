@@ -1,7 +1,10 @@
 """Determinant witness that the Euler rows of the Jacobian rank matrix are
-independent, the two row blocks of that matrix on their own, a rational
-kernel basis, and a face lookup by vertex ids. Used only by the tests; the
-oracle itself certifies its rank."""
+independent, the two row blocks of that matrix on their own and its target
+rank, a rational kernel basis, a face lookup by vertex ids, and the face
+pairing of a reflexive pair through both face lattices. Used only by the
+tests; the oracle itself certifies its rank. The package reads dual faces
+from facet masks instead, and the tests compare its sums with sums over
+faces paired here."""
 
 from fractions import Fraction
 
@@ -75,6 +78,11 @@ def facet_interior_rows(pair, coeffs):
     return assemble_matrix(pair, coeffs, (), facet_interior_pairs(pair))
 
 
+def gamma(pair) -> int:
+    """Target rank: n + 1 + total facet interior points of delta."""
+    return pair.n + 1 + len(facet_interior_pairs(pair))
+
+
 def independent_vertex_subset(pair):
     """Lexicographically first n linearly independent vertices of delta,
     then the origin."""
@@ -126,3 +134,24 @@ def face_with_vertex_ids(polytope, vertex_ids):
             if face.vertex_ids == key:
                 return face
     raise KeyError(f"no face with vertex ids {key}")
+
+
+def dual_face(pair, face):
+    """The face of delta paired with a proper face of delta_polar."""
+    return _paired(pair, face, pair.delta)
+
+
+def dual_face_of_delta(pair, face):
+    """The face of delta_polar paired with a proper face of delta."""
+    return _paired(pair, face, pair.delta_polar)
+
+
+def _paired(pair, face, dst):
+    """The face of dst whose vertex ids are the active facets of face, which
+    must have the complementary dimension."""
+    if face.dim >= pair.n:
+        raise ValueError("only proper faces have duals")
+    dual = face_with_vertex_ids(dst, face.active_facets)
+    if face.dim + dual.dim != pair.n - 1:
+        raise AssertionError("face pairing dimension mismatch")
+    return dual

@@ -18,10 +18,11 @@ import pytest
 import oracles
 from reflexorb.fan import Cone, interior_boxes, normal_fan, toric_twisted_sectors
 from reflexorb.hodge import cy_twisted_sectors, hodge_report, mirror_check
-from reflexorb.jacobian import gamma, jacobian_rank_check, monomial_basis
+from reflexorb.jacobian import jacobian_rank_check, monomial_basis
 from reflexorb.polytope import LatticePolytope, ReflexivePair, format_vertex_matrix
 
 from boxes import box_elements, is_interior
+from pairing import dual_face, gamma
 from test_hodge import (
     FIVEDIM_POLAR,
     OCTIC_POLAR,
@@ -170,7 +171,7 @@ def test_criterion_7_structural_identities():
         assert total == by_faces, name
 
         for face in polar.proper_faces():
-            dual = pair.dual_face(face)
+            dual = dual_face(pair, face)
             assert face.dim + dual.dim == n - 1, name
 
         assert pair.delta.polar_dual().vertices == polar.vertices, name

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import reflexorb
-from reflexorb import fan, hodge, polytope
+from reflexorb import cli, fan, hodge, polytope
 from reflexorb.cli import main
 from reflexorb.polytope import (
+    FacetInequality,
     LatticePolytope,
     format_vertex_matrix,
     parse_vertex_matrix,
@@ -400,6 +401,55 @@ def test_exit_code_audit_hodge_split(capsys, monkeypatch):
     assert (code, out) == (6, "")
     assert err.startswith("reflexorb: divisor audit failed")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def corrupt_polar_dual(monkeypatch):
+    # the first facet of delta turned inside out, so a vertex of delta lies
+    # beyond it
+    real = LatticePolytope.polar_dual
+
+    def polar_dual(self):
+        dual = real(self)
+        first, *rest = dual.facets
+        flipped = FacetInequality(tuple(-x for x in first.normal), first.offset)
+        return LatticePolytope(dual.vertices, [flipped, *rest])
+
+    monkeypatch.setattr(LatticePolytope, "polar_dual", polar_dual)
+
+
+@pytest.mark.parametrize("command", ["hodge", "mirror", "sectors-cy", "oracle-jacobian"])
+def test_exit_code_audit_polar_vertices(command, capsys, monkeypatch):
+    # no command builds delta's face lattice, so the pair checks delta's
+    # vertices against its facets itself
+    corrupt_polar_dual(monkeypatch)
+    code, out, err = run_cli([command, "--wps", "1,1,2,2,2"], capsys)
+    assert (code, out) == (6, "")
+    assert err.startswith("reflexorb: vertex ") and "violates the facet with normal" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_hodge_commands_build_one_face_lattice(capsys, monkeypatch):
+    # the Hodge sums read delta's faces from its points by facet mask:
+    # delta's face lattice is never built, and a hodge run asks for lattice
+    # points a bounded number of times
+    pairs = []
+    real_pair = cli._pair_from
+    monkeypatch.setattr(cli, "_pair_from", lambda poly, dual: pairs.append(real_pair(poly, dual)) or pairs[-1])
+    builds = []
+    real_build = LatticePolytope._build_face_lattice
+    monkeypatch.setattr(LatticePolytope, "_build_face_lattice", lambda self: builds.append(self) or real_build(self))
+    calls = []
+    real_points = LatticePolytope.lattice_points
+    monkeypatch.setattr(LatticePolytope, "lattice_points", lambda self, k=1: calls.append(k) or real_points(self, k))
+    for command in ("hodge", "mirror", "sectors-cy", "oracle-jacobian"):
+        builds.clear()
+        calls.clear()
+        code, out, _ = run_cli([command, "--wps", "1,1,2,2,2"], capsys)
+        assert code == 0 and out, command
+        assert pairs[-1].delta._faces_by_dim is None, command
+        assert len(builds) == 1 and builds[0] is pairs[-1].delta_polar, command
+        if command == "hodge":
+            assert len(calls) <= 12
 
 
 def test_exit_code_audit_box_walk(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,7 @@ from reflexorb.hodge import mirror_check
 from reflexorb.polytope import LatticePolytope, ReflexivePair
 
 from boxes import box_elements, is_interior, quotient_group_order, smith_rank
-from pairing import face_with_vertex_ids
+from pairing import dual_face, face_with_vertex_ids
 from test_polytope import CROSS4, CROSS6, CUBE4, P11169, SIMPLEX_POLAR
 
 
@@ -285,7 +285,7 @@ def test_sector_pairing_with_dual_face(simplex_fan):
     pair, fan = simplex_fan
     for sector in toric_twisted_sectors(fan):
         face = face_with_vertex_ids(pair.delta_polar, sector.cone.face_ids)
-        dual = pair.dual_face(face)
+        dual = dual_face(pair, face)
         for w in dual.vertices():
             val = sum(a * b for a, b in zip(w, sector.element.point))
             assert val == -sector.age

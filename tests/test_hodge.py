@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,11 @@ from reflexorb.hodge import (
     hodge_report,
     mirror_check,
 )
+from reflexorb.jacobian import facet_interior_pairs
 from reflexorb.polytope import LatticePolytope, ReflexivePair
 
-from pairing import face_with_vertex_ids
-from test_polytope import CROSS4, CUBE4, SIMPLEX_POLAR
+from pairing import dual_face, dual_face_of_delta, face_with_vertex_ids
+from test_polytope import CROSS4, CUBE4, P11169, PAIR_INPUTS, SIMPLEX_POLAR, _apply, _unimodular
 
 QUINTIC_POLAR = [(-1, -1, -1, -1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 SEXTIC_POLAR = [(-1, -1, -1, -2), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
@@ -44,7 +46,7 @@ def sector_h_top(pair, sector):
     if sector.face_dim != 1:
         return 0
     face = face_with_vertex_ids(pair.delta_polar, sector.face_ids)
-    return len(pair.dual_face(face).interior_lattice_points())
+    return len(dual_face(pair, face).interior_lattice_points())
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +245,71 @@ def test_sector_ages_integral_everywhere():
             assert s.age >= 1
         for s in toric_twisted_sectors(normal_fan(pair)):
             assert s.age.denominator == 1
+
+
+def _gl4_image(verts, seed):
+    m = _unimodular(random.Random(seed), 4)
+    return [_apply(m, v) for v in verts]
+
+
+MASK_SUM_INPUTS = {
+    **PAIR_INPUTS,
+    "quintic": QUINTIC_POLAR,
+    "sextic": SEXTIC_POLAR,
+    "octic": OCTIC_POLAR,
+    "fivedim": FIVEDIM_POLAR,
+    "gl-p11169": _gl4_image(P11169, 1),
+    "gl-simplex": _gl4_image(SIMPLEX_POLAR, 2),
+}
+
+
+def face_lattice_sums(pair):
+    """(h11_orb, hn21_untwisted, hn21_orb) as Batyrev's sums over the faces
+    of both face lattices, each ridge paired with its dual edge."""
+    n = pair.n
+
+    def untwisted(p):
+        facets = sum(len(f.interior_lattice_points()) for f in p.faces(n - 1))
+        return len(p.lattice_points()) - n - 1 - facets
+
+    def twisted(p, dual_of):
+        return sum(
+            len(f.interior_lattice_points()) * len(dual_of(pair, f).interior_lattice_points())
+            for f in p.faces(n - 2)
+        )
+
+    h21 = untwisted(pair.delta)
+    return (
+        untwisted(pair.delta_polar) + twisted(pair.delta_polar, dual_face),
+        h21,
+        h21 + twisted(pair.delta, dual_face_of_delta),
+    )
+
+
+@pytest.mark.parametrize("side", ["fan", "dual"])
+@pytest.mark.parametrize("name", sorted(MASK_SUM_INPUTS))
+def test_mask_sums_match_the_face_lattice_sums(name, side):
+    pair = make_pair(MASK_SUM_INPUTS[name])
+    if side == "dual":
+        pair = pair.swapped()
+    polar = pair.delta_polar
+    got = (
+        h11_orb(pair, force=True),
+        hn21_untwisted(pair, force=True),
+        hn21_orb(pair, force=True),
+    )
+    assert got == face_lattice_sums(pair)
+    want_pairs = tuple(
+        (ray, point)
+        for vertex in polar.faces(0)
+        for ray in vertex.vertices()
+        for point in dual_face(pair, vertex).interior_lattice_points()
+    )
+    assert facet_interior_pairs(pair) == want_pairs
+    if not normal_fan(pair).is_simplicial():
+        return
+    for s in cy_twisted_sectors(pair, force=True):
+        face = face_with_vertex_ids(polar, s.face_ids)
+        dual = len(dual_face(pair, face).interior_lattice_points())
+        assert s.components == (dual + 1 if s.face_dim == pair.n - 2 else 1)
+        assert s.h_top == (dual if s.face_dim == 1 else 0)

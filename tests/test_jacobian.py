@@ -10,7 +10,6 @@ from reflexorb.jacobian import (
     assemble_matrix,
     draw_coefficients,
     facet_interior_pairs,
-    gamma,
     jacobian_rank_check,
     lifted_ray_subset,
     monomial_basis,
@@ -20,6 +19,7 @@ from reflexorb.linalg import rational_rank
 from pairing import (
     euler_rows,
     facet_interior_rows,
+    gamma,
     independent_vertex_subset,
     integer_determinant,
     matrix_e,

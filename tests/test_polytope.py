@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 import oracles
-from pairing import face_with_vertex_ids
+from pairing import dual_face, dual_face_of_delta, face_with_vertex_ids
 from reflexorb.errors import (
     AuditError,
     NotFullDimensionalError,
@@ -186,10 +186,10 @@ def test_face_interior_points_on_simplex_polar(simplex_pair):
 def test_dual_face_pairing_dims(simplex_pair):
     pair = simplex_pair
     for face in pair.delta_polar.proper_faces():
-        dual = pair.dual_face(face)
+        dual = dual_face(pair, face)
         assert face.dim + dual.dim == pair.n - 1
         # and the pairing closes
-        assert pair.dual_face_of_delta(dual) == face
+        assert dual_face_of_delta(pair, dual) == face
 
 
 def test_dual_face_of_edge_has_genus_count(simplex_pair):
@@ -198,7 +198,7 @@ def test_dual_face_of_edge_has_genus_count(simplex_pair):
     v1 = polar.vertices.index((-1, -2, -2, -2))
     v2 = polar.vertices.index((1, 0, 0, 0))
     edge = face_with_vertex_ids(polar, (v1, v2))
-    dual = pair.dual_face(edge)
+    dual = dual_face(pair, edge)
     assert dual.dim == 2
     assert len(dual.interior_lattice_points()) == 3
 
@@ -207,7 +207,7 @@ def test_cube_pair_face_duality(cube_pair):
     pair = cube_pair
     # vertices of the cross pair with facets of the cube
     for face in pair.delta_polar.faces(0):
-        dual = pair.dual_face(face)
+        dual = dual_face(pair, face)
         assert dual.dim == 3
         assert len(dual.interior_lattice_points()) == 1  # facet centers
 
@@ -347,12 +347,12 @@ def test_polar_dual_equals_the_hull_of_the_normals():
 def test_pairing_matches_a_vertex_scan_on_both_sides(any_pair):
     pair = any_pair
     sides = (
-        (pair.delta_polar, pair.delta, pair.dual_face),
-        (pair.delta, pair.delta_polar, pair.dual_face_of_delta),
+        (pair.delta_polar, pair.delta, dual_face),
+        (pair.delta, pair.delta_polar, dual_face_of_delta),
     )
     for src, dst, dual_of in sides:
         for face in src.proper_faces():
-            dual = dual_of(face)
+            dual = dual_of(pair, face)
             scan = tuple(
                 j
                 for j, w in enumerate(dst.vertices)
