@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import add
+from operator import mul
 
 from .errors import AuditError, HypothesisError
-from .linalg import rank_mod_p, rational_rank
+from .linalg import independent_rows, rank_mod_p, rational_rank
 from .polytope import ReflexivePair, Vector
 
 COEFF_LOW = 1
@@ -41,15 +41,10 @@ def draw_coefficients(pair: ReflexivePair, seed: int) -> dict[Vector, int]:
 def lifted_ray_subset(pair: ReflexivePair) -> tuple[Vector, ...]:
     """Lexicographically first n+1 rays whose lifts (v, 1) are linearly
     independent. Such a subset always exists because the lifted rays span."""
-    chosen: list[Vector] = []
-    lifted: list[list[int]] = []
-    for ray in pair.delta_polar.vertices:
-        trial = lifted + [list(ray) + [1]]
-        if rational_rank(trial) == len(trial):
-            chosen.append(ray)
-            lifted.append(list(ray) + [1])
-            if len(chosen) == pair.n + 1:
-                return tuple(chosen)
+    rays = pair.delta_polar.vertices
+    chosen = independent_rows(([*ray, 1] for ray in rays), pair.n + 1)
+    if len(chosen) == pair.n + 1:
+        return tuple(rays[i] for i in chosen)
     raise AuditError("lifted rays failed to span")
 
 
@@ -72,24 +67,50 @@ def assemble_matrix(pair: ReflexivePair, coeffs, rays=None, pairs=None) -> list[
     places the same value at column m + m* when that lies in delta, zero
     elsewhere. Each ray's column values are computed once. Rays default to
     the lifted subset and pairs to all facet interior pairs; a caller that
-    builds several matrices for one pair passes the ones it computed once."""
+    builds several matrices for one pair passes the ones it computed once.
+
+    Columns are found by the linear integer keys of `_keys`: the row for
+    (v, m*) takes at column c the value of v at the column keyed
+    key(c) - key(m*), and 0 when no column has that key. Column m matches
+    only when c - m - m* = 0, since each of its coordinates is at most
+    2 (hi - lo) in size: c - m lies in [lo - hi, hi - lo], and m*, like
+    the origin, in [lo, hi].
+    """
     if rays is None:
         rays = lifted_ray_subset(pair)
     if pairs is None:
         pairs = facet_interior_pairs(pair)
     basis = monomial_basis(pair)
-    column = {m: j for j, m in enumerate(basis)}
+    keys = _keys(basis)
+    if len(set(keys)) != len(keys):
+        raise AuditError("two lattice points of delta share a column key")
+    key_of = dict(zip(basis, keys))
     needed = dict.fromkeys([*rays, *(ray for ray, _ in pairs)])
-    values = {v: [coeffs[m] * (_dot(m, v) + 1) for m in basis] for v in needed}
-    rows = [list(values[ray]) for ray in rays]
+    values = {
+        v: dict(zip(keys, [coeffs[m] * (sum(map(mul, m, v)) + 1) for m in basis]))
+        for v in needed
+    }
+    rows = [list(values[ray].values()) for ray in rays]
     for ray, star in pairs:
-        row = [0] * len(basis)
-        for m, value in zip(basis, values[ray]):
-            j = column.get(tuple(map(add, m, star)))
-            if j is not None:
-                row[j] = value
-        rows.append(row)
+        value, shift = values[ray].get, key_of[star]
+        rows.append([value(k - shift, 0) for k in keys])
     return rows
+
+
+def _keys(points) -> list[int]:
+    """Mixed-radix key sum_d x_d * R_d of each point x, where coordinate d
+    has radix 2 (hi_d - lo_d) + 1 over the points and R_d is the product
+    of the radices after d. The key is linear, and on an integer vector
+    with |x_d| <= 2 (hi_d - lo_d) it is 0 only at 0: every R_d but the last
+    is a multiple of the last radix, which exceeds |x_last|, so x_last is
+    0, and so on."""
+    weights = []
+    weight = 1
+    for column in reversed(list(zip(*points))):
+        weights.append(weight)
+        weight *= 2 * (max(column) - min(column)) + 1
+    weights.reverse()
+    return [sum(map(mul, p, weights)) for p in points]
 
 
 @dataclass(frozen=True)
@@ -153,7 +174,3 @@ def jacobian_rank_check(pair: ReflexivePair, seed: int = 0, force: bool = False)
         agrees=generic and quotient == formula,
         generic=generic,
     )
-
-
-def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))

@@ -8,7 +8,7 @@ floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 IntMatrix = list[list[int]]
 
@@ -169,6 +169,33 @@ def rational_rank(m) -> int:
         if rank == rows:
             break
     return rank
+
+
+def independent_rows(rows, limit: int) -> list[int]:
+    """Indices of the greedy first independent integer rows: a row is kept
+    when it is independent of the rows kept before it, until limit are
+    kept. One incremental fraction-free echelon form: each new row is
+    reduced against the kept rows' primitive echelon rows, each zero in the
+    pivot columns of those before it, and is independent exactly when
+    something is left. Rows may come from a generator, read only as far as
+    needed."""
+    kept: list[int] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, primitive row)
+    for i, row in enumerate(rows):
+        r = list(row)
+        for col, b in echelon:
+            f = r[col]
+            if f:
+                r = [b[col] * x - f * y for x, y in zip(r, b)]
+        piv = next((c for c, x in enumerate(r) if x), None)
+        if piv is None:
+            continue
+        g = gcd(*r)
+        echelon.append((piv, [x // g for x in r]))
+        kept.append(i)
+        if len(kept) == limit:
+            break
+    return kept
 
 
 def rank_mod_p(m, p: int) -> int:

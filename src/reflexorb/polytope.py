@@ -21,7 +21,7 @@ from math import gcd
 from operator import mul
 
 from .errors import AuditError, NotFullDimensionalError, NotReflexiveError, VertexFileError
-from .linalg import rational_rank
+from .linalg import independent_rows
 
 Vector = tuple[int, ...]
 
@@ -435,13 +435,8 @@ def _convex_hull(pts, n):
     the <x, normal> >= -offset convention with primitive integer normals.
     A point is a vertex when the facets through it meet in it alone.
     """
-    seed = [0]
-    for i in range(1, len(pts)):
-        diffs = [[a - b for a, b in zip(pts[j], pts[0])] for j in seed[1:] + [i]]
-        if rational_rank(diffs) == len(seed):
-            seed.append(i)
-            if len(seed) == n + 1:
-                break
+    diffs = ([a - b for a, b in zip(p, pts[0])] for p in pts[1:])
+    seed = [0, *(i + 1 for i in independent_rows(diffs, n))]
     if len(seed) <= n:
         raise NotFullDimensionalError(
             f"points span an affine subspace of dimension {len(seed) - 1} < {n}"

@@ -1,14 +1,19 @@
 """Determinant witness that the Euler rows of the Jacobian rank matrix are
-independent, the two row blocks of that matrix on their own and its target
-rank, a rational kernel basis, a face lookup by vertex ids, and the face
-pairing of a reflexive pair through both face lattices. Used only by the
-tests; the oracle itself certifies its rank. The package reads dual faces
-from facet masks instead, and the tests compare its sums with sums over
-faces paired here."""
+independent, the two row blocks of that matrix on their own, a reference
+assembly of it by tuple lookups, its target rank, a rational kernel basis,
+a face lookup by vertex ids, and the face pairing of a reflexive pair
+through both face lattices. Used only by the tests; the oracle itself
+certifies its rank. The package reads dual faces from facet masks instead,
+and the tests compare its sums with sums over faces paired here."""
 
 from fractions import Fraction
 
-from reflexorb.jacobian import assemble_matrix, facet_interior_pairs, lifted_ray_subset
+from reflexorb.jacobian import (
+    assemble_matrix,
+    facet_interior_pairs,
+    lifted_ray_subset,
+    monomial_basis,
+)
 from reflexorb.linalg import rational_rank
 
 
@@ -76,6 +81,32 @@ def euler_rows(pair, coeffs, rays=None):
 def facet_interior_rows(pair, coeffs):
     """The facet interior rows alone."""
     return assemble_matrix(pair, coeffs, (), facet_interior_pairs(pair))
+
+
+def reference_matrix(pair, coeffs, rays=None, pairs=None):
+    """The rank matrix with its columns found by tuple lookups: row for
+    (v, m*) takes at column m + m* the Euler value of v at m. The
+    reference for assemble_matrix, whose integer keys must give the same
+    rows."""
+    if rays is None:
+        rays = lifted_ray_subset(pair)
+    if pairs is None:
+        pairs = facet_interior_pairs(pair)
+    basis = monomial_basis(pair)
+    column = {m: j for j, m in enumerate(basis)}
+
+    def values(v):
+        return [coeffs[m] * (sum(a * b for a, b in zip(m, v)) + 1) for m in basis]
+
+    rows = [values(ray) for ray in rays]
+    for ray, star in pairs:
+        row = [0] * len(basis)
+        for m, value in zip(basis, values(ray)):
+            j = column.get(tuple(a + b for a, b in zip(m, star)))
+            if j is not None:
+                row[j] = value
+        rows.append(row)
+    return rows
 
 
 def gamma(pair) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import reflexorb
-from reflexorb import cli, fan, hodge, polytope
+from reflexorb import cli, fan, hodge, jacobian, polytope
 from reflexorb.cli import main
 from reflexorb.polytope import (
     FacetInequality,
@@ -401,6 +401,15 @@ def test_exit_code_audit_hodge_split(capsys, monkeypatch):
     assert (code, out) == (6, "")
     assert err.startswith("reflexorb: divisor audit failed")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_exit_code_audit_column_keys(capsys, monkeypatch):
+    # with every radix 1 a key is a coordinate sum, so distinct monomials
+    # share a column key and the oracle must refuse the matrix
+    monkeypatch.setattr(jacobian, "_keys", lambda points: [sum(p) for p in points])
+    code, out, err = run_cli(["oracle-jacobian", "--wps", "1,1,2,2,2"], capsys)
+    assert (code, out) == (6, "")
+    assert err == "reflexorb: two lattice points of delta share a column key\n"
 
 
 def corrupt_polar_dual(monkeypatch):

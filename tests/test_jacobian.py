@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from reflexorb import jacobian
-from reflexorb.cli import main
+from reflexorb.cli import main, wps_polytope
 from reflexorb.errors import AuditError, HypothesisError
 from reflexorb.jacobian import (
     assemble_matrix,
@@ -24,6 +24,7 @@ from pairing import (
     integer_determinant,
     matrix_e,
     rational_kernel_basis,
+    reference_matrix,
     verify_matrix_p_nonsingular,
 )
 from test_hodge import (
@@ -33,7 +34,7 @@ from test_hodge import (
     SEXTIC_POLAR,
     make_pair,
 )
-from test_polytope import CROSS4, SIMPLEX_POLAR
+from test_polytope import CROSS4, CUBE4, P11169, SIMPLEX_POLAR, _apply
 
 ALL_INSTANCES = [
     # (polar vertices, gamma, l(delta), quotient)
@@ -235,7 +236,7 @@ def test_certified_rank_skips_bareiss(cube_pair, monkeypatch):
     monkeypatch.setattr(jacobian, "rational_rank", counting_rank)
     rep = jacobian_rank_check(cube_pair, seed=0)
     assert rep.rank == 13 and rep.generic
-    assert 13 not in exact_calls  # only the small lifted-ray checks ran
+    assert exact_calls == []  # the lifted rays are chosen without a rank
 
 
 def test_row_count_audit_survives_optimisation(cube_pair, monkeypatch):
@@ -255,3 +256,50 @@ def test_oracle_jacobian_p1_1_12_28_42(capsys):
     assert obj["quotient"] == obj["formula"] == 491
     assert obj["agrees"] is True and obj["generic"] is True
     assert obj["attempts"] == 1
+
+
+# the jacobian-rank benchmark's weight systems, then P(1,1,12,28,42)
+RANK_WEIGHTS = [
+    (1, 1, 2, 2, 2),
+    (1, 1, 1, 1, 1),
+    (1, 1, 2, 8, 12),
+    (1, 1, 3, 10, 15),
+    (1, 1, 1, 6, 9),
+    (1, 1, 6, 16, 24),
+    (1, 1, 12, 28, 42),
+]
+# a product of unimodular shears and a permutation: the fan side has
+# entries near 10**6, and delta's points entries near 10**12
+BIG_SHEAR = [[10**6, 0, 1, 0], [1, 0, 0, 0], [10**6, 1, 0, 0], [0, 0, 999_983, 1]]
+OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+REFERENCE_INPUTS = {
+    **{",".join(map(str, w)): wps_polytope(w).vertices for w in RANK_WEIGHTS},
+    "gl-p11169": [_apply(BIG_SHEAR, v) for v in P11169],
+    "cube4": CUBE4,
+    "cross4": CROSS4,
+    "p1^6": wps_polytope((1,) * 6).vertices,
+    "octahedron": OCTAHEDRON,
+}
+
+
+@pytest.mark.parametrize("side", ["fan", "dual"])
+@pytest.mark.parametrize("name", list(REFERENCE_INPUTS))
+def test_assemble_matrix_matches_the_tuple_reference(name, side, monkeypatch):
+    # every matrix the oracle builds, also at n = 3 under force and on the
+    # swapped side, whose delta has negative coordinates
+    pair = make_pair(REFERENCE_INPUTS[name])
+    if side == "dual":
+        pair = pair.swapped()
+    built = []
+    real = jacobian.assemble_matrix
+
+    def checked(pair, coeffs, rays, pairs):
+        rows = real(pair, coeffs, rays, pairs)
+        built.append(rows == reference_matrix(pair, coeffs, rays, pairs))
+        return rows
+
+    monkeypatch.setattr(jacobian, "assemble_matrix", checked)
+    jacobian_rank_check(pair, seed=0, force=True)
+    assert built and all(built)
+    coeffs = draw_coefficients(pair, 1)
+    assert real(pair, coeffs) == reference_matrix(pair, coeffs)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import oracles
 from reflexorb.linalg import (
     identity_matrix,
+    independent_rows,
     rank_mod_p,
     rational_rank,
     smith_normal_form,
@@ -107,6 +108,34 @@ def low_rank_matrix(rng, rows, cols, rank, lo=-9, hi=9):
     left = random_matrix(rng, rows, rank, lo, hi)
     right = random_matrix(rng, rank, cols, lo, hi)
     return matrix_multiply(left, right)
+
+
+def test_independent_rows_match_the_per_trial_rank_loop():
+    # each set mixes random rows with combinations of earlier ones and
+    # zero rows, so some rows are dependent and must be skipped
+    rng = random.Random(41)
+    for _ in range(200):
+        cols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 10)):
+            kind = rng.random()
+            if rows and kind < 0.4:
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows.append([s * x + t * y for x, y in zip(a, b)])
+            elif kind < 0.5:
+                rows.append([0] * cols)
+            else:
+                rows.append([rng.randint(-9, 9) for _ in range(cols)])
+        limit = rng.randint(1, cols + 1)
+        kept = []
+        for i, row in enumerate(rows):
+            if rational_rank([rows[j] for j in kept] + [row]) == len(kept) + 1:
+                kept.append(i)
+                if len(kept) == limit:
+                    break
+        assert independent_rows(rows, limit) == kept
+        assert independent_rows(iter(rows), limit) == kept
 
 
 def test_rank_mod_p_matches_rational_rank():
